@@ -1,190 +1,18 @@
 //! E2 — §5 "Throughput": Mpps at 200 MHz for the three use cases on the
 //! 8-stage FPGA prototypes (analytical model over the actual compiled
-//! designs), plus measured software packet rates of the two behavioral
-//! models as a bonus series.
+//! designs). Measured software packet rates are `rp4-benchmark`'s job
+//! (`benchmark/README.md`), not this table's.
 //!
 //! Paper (Mpps):  PISA 187.33 / 153.71 / 191.93 — IPSA 65.81 / 51.36 / 86.62
 //! Shape to hold: PISA ~2-3.5x faster; IPSA's gap comes from extra memory
 //! beats on wide entries plus the per-packet template fetch — and the
 //! paper's two fixes (wider bus, pipelined TSP) must recover most of it.
 
-use ipbm::IpbmSwitch;
 use ipsa_bench::*;
-use ipsa_controller::{programs, Rp4Flow};
-use ipsa_core::control::Device;
-use ipsa_core::timing::CostModel;
+use ipsa_controller::programs;
 use ipsa_hwmodel::{throughput, Arch, ThroughputOptions};
-use ipsa_netpkt::traffic::TrafficGen;
-use pisa_bm::{PisaSwitch, PisaTarget};
-use serde::Serialize;
-use std::time::Instant;
-
-/// Measured software forwarding rate (packets per second) of a device,
-/// drained through `run` (interpreter) or `run_batch` (compiled path).
-fn sw_rate<D: Device>(device: &mut D, packets: usize, batch_path: bool) -> f64 {
-    let mut gen = TrafficGen::new(17).with_v6_percent(20).with_flows(64);
-    let batch = gen.batch(packets);
-    for p in batch {
-        device.inject(p);
-    }
-    let t = Instant::now();
-    let out = if batch_path {
-        device.run_batch()
-    } else {
-        device.run()
-    };
-    let dt = t.elapsed().as_secs_f64();
-    assert!(!out.is_empty());
-    out.len() as f64 / dt
-}
-
-/// One ipbm software-rate measurement: interpreter vs the plain compiled
-/// fast path (no facts installed) vs the fact-guided fast path (the
-/// controller-installed `ProgramFacts` let the epoch compiler elide
-/// proven-redundant parses, prune dead arms/stores, and memoize header
-/// locations).
-#[derive(Debug, Serialize)]
-struct SwSeries {
-    case: String,
-    interpreter_pps: f64,
-    fast_path_pps: f64,
-    fact_guided_pps: f64,
-    /// fact-guided fast path over the interpreter.
-    speedup: f64,
-    /// fact-guided fast path over the plain (fact-free) fast path.
-    fact_gain: f64,
-}
-
-/// Best-of-N rate: repeated measurement squeezes scheduler noise out of
-/// the per-series comparison (the device is reused, so tables stay
-/// populated and the compiled epoch stays warm after the first rep).
-fn best_rate(reps: usize, mut measure: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| measure()).fold(0.0, f64::max)
-}
-
-/// Paired measurement of two compiled-path devices over identical
-/// traffic, alternating small chunks so host-load drift (CPU throttling,
-/// noisy CI neighbors) lands on both sides of the comparison equally
-/// instead of masquerading as a speedup or regression of whichever
-/// happened to run during the slow episode.
-fn paired_rates<D: Device>(a: &mut D, b: &mut D, packets: usize) -> (f64, f64) {
-    let chunk = (packets / 20).max(1);
-    let mut gen_a = TrafficGen::new(17).with_v6_percent(20).with_flows(64);
-    let mut gen_b = TrafficGen::new(17).with_v6_percent(20).with_flows(64);
-    let (mut ta, mut tb) = (0.0f64, 0.0f64);
-    let (mut na, mut nb) = (0usize, 0usize);
-    let mut sent = 0;
-    while sent < packets {
-        let n = chunk.min(packets - sent);
-        for p in gen_a.batch(n) {
-            a.inject(p);
-        }
-        let t = Instant::now();
-        na += a.run_batch().len();
-        ta += t.elapsed().as_secs_f64();
-        for p in gen_b.batch(n) {
-            b.inject(p);
-        }
-        let t = Instant::now();
-        nb += b.run_batch().len();
-        tb += t.elapsed().as_secs_f64();
-        sent += n;
-    }
-    assert!(na > 0 && nb > 0);
-    (na as f64 / ta, nb as f64 / tb)
-}
-
-/// Machine-readable artifact for CI and EXPERIMENTS.md.
-#[derive(Debug, Serialize)]
-struct ThroughputJson {
-    packets_per_series: usize,
-    smoke: bool,
-    series: Vec<SwSeries>,
-}
-
-/// A base-design ipbm flow with the standard population, plus one of the
-/// in-situ use-case updates on top (None = plain base L3).
-fn case_flow(case: Option<usize>) -> Rp4Flow<IpbmSwitch> {
-    let mut flow = ipsa_sw_flow();
-    populate_rp4_flow(&mut flow, 50);
-    if let Some(i) = case {
-        let (_, _, script, _) = programs::use_cases()[i];
-        flow.run_script(script, &programs::bundled_sources)
-            .expect("use-case script applies");
-        if i == 0 {
-            flow.run_script(
-                include_str!("../../../programs/ecmp_members.script"),
-                &programs::bundled_sources,
-            )
-            .expect("ecmp members populate");
-        }
-    }
-    flow
-}
-
-/// Measures interpreter vs fast-path rates for each use case and writes
-/// `BENCH_throughput.json` at the workspace root.
-fn sw_series(packets: usize, smoke: bool) -> (Vec<SwSeries>, f64) {
-    let cases: [(&str, Option<usize>); 4] = [
-        ("base-l3", None),
-        ("ecmp", Some(0)),
-        ("srv6", Some(1)),
-        ("flowprobe", Some(2)),
-    ];
-    let reps = 3;
-    let mut series = Vec::new();
-    for (name, case) in cases {
-        let mut interp_dev = case_flow(case).device;
-        let interp = best_rate(reps, || sw_rate(&mut interp_dev, packets, false));
-
-        // Plain fast path: drop the controller-installed facts so the
-        // epoch compiler runs without proofs (the fact-free baseline).
-        let mut plain_dev = case_flow(case).device;
-        plain_dev.install_facts(None);
-        assert!(!plain_dev.pm.has_facts(), "{name}: facts must be cleared");
-
-        let mut guided_dev = case_flow(case).device;
-        assert!(
-            guided_dev.pm.has_facts(),
-            "{name}: controller must install dataflow facts"
-        );
-        let (mut plain, mut guided) = (0.0f64, 0.0f64);
-        for _ in 0..reps {
-            let (p, g) = paired_rates(&mut plain_dev, &mut guided_dev, packets);
-            plain = plain.max(p);
-            guided = guided.max(g);
-        }
-
-        series.push(SwSeries {
-            case: name.to_string(),
-            interpreter_pps: interp,
-            fast_path_pps: plain,
-            fact_guided_pps: guided,
-            speedup: guided / interp,
-            fact_gain: guided / plain,
-        });
-    }
-    let base_speedup = series[0].speedup;
-    let json = ThroughputJson {
-        packets_per_series: packets,
-        smoke,
-        series,
-    };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&json).expect("json serializes"),
-    )
-    .expect("BENCH_throughput.json written");
-    println!("[written to {}]", path.display());
-    (json.series, base_speedup)
-}
 
 fn main() {
-    // Smoke mode (CI): fewer packets, same artifacts.
-    let smoke = std::env::var("IPSA_BENCH_SMOKE").is_ok();
-    let packets = if smoke { 4_000 } else { 30_000 };
-
     let paper_pisa = [187.33, 153.71, 191.93];
     let paper_ipsa = [65.81, 51.36, 86.62];
 
@@ -225,7 +53,7 @@ fn main() {
             "{case}: fixes must close the gap"
         );
     }
-    let mut out = render_table(
+    let out = render_table(
         "Sec. 5 throughput — Mpps @ 200 MHz (analytical model over compiled designs)",
         &[
             "use case",
@@ -238,64 +66,6 @@ fn main() {
             "IPSA+fixes",
         ],
         &rows,
-    );
-
-    // Bonus: measured software behavioral-model rates (not in the paper;
-    // architecture costs show up as real work: distributed parse state,
-    // crossbar checks, pooled-memory access accounting).
-    let ipsa_rate = sw_rate(&mut case_flow(None).device, packets, false);
-
-    let (mut pisa_flow, _, _) = ipsa_controller::P4Flow::new(
-        PisaSwitch::new(CostModel::software()),
-        programs::BASE_P4,
-        PisaTarget::bmv2(),
-    )
-    .expect("pisa loads");
-    populate_p4_flow(&mut pisa_flow, 50);
-    let pisa_rate = sw_rate(&mut pisa_flow.device, packets, false);
-
-    out.push_str(&format!(
-        "\nsoftware behavioral models, base design (measured): \
-         pisa-bm {:.0} kpps, ipbm {:.0} kpps (ratio {:.2}x)\n",
-        pisa_rate / 1e3,
-        ipsa_rate / 1e3,
-        pisa_rate / ipsa_rate
-    ));
-
-    // ipbm interpreter vs compiled fast path, per use case (the
-    // resolve-once/run-many epoch model; see DESIGN.md). Also written as
-    // machine-readable BENCH_throughput.json for CI.
-    let (series, base_speedup) = sw_series(packets, smoke);
-    out.push_str("\nipbm software rates: interpreter vs fast path vs fact-guided fast path\n");
-    for s in &series {
-        out.push_str(&format!(
-            "  {:<10} interpreter {:>8.0} kpps   fast {:>8.0} kpps   fact-guided {:>8.0} kpps   \
-             ({:.2}x interp, {:.2}x fast)\n",
-            s.case,
-            s.interpreter_pps / 1e3,
-            s.fast_path_pps / 1e3,
-            s.fact_guided_pps / 1e3,
-            s.speedup,
-            s.fact_gain
-        ));
-    }
-    assert!(
-        base_speedup >= 3.0,
-        "compiled fast path must be >= 3x the interpreter on base L3 (got {base_speedup:.2}x)"
-    );
-    // Fact-guided compilation must never cost throughput (0.9 allows
-    // measurement noise) and must measurably help on at least one case.
-    for s in &series {
-        assert!(
-            s.fact_gain >= 0.9,
-            "{}: fact-guided path regressed vs plain fast path ({:.2}x)",
-            s.case,
-            s.fact_gain
-        );
-    }
-    assert!(
-        series.iter().any(|s| s.fact_gain >= 1.0),
-        "fact-guided compilation must improve at least one use case: {series:#?}"
     );
     emit("throughput", &out);
 }

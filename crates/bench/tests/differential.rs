@@ -186,6 +186,155 @@ fn fast_path_matches_interpreter_across_midstream_update() {
     assert!(emitted > 0);
 }
 
+/// An in-situ ACL stage whose action drops: the bundled programs have no
+/// dropping action, and the entry points must agree on `action_drops` too.
+const ACL_RP4: &str = "
+action deny() { drop(); }
+
+table acl {
+    key = { ipv4.src_addr: exact; ipv4.dst_addr: exact; }
+    actions = { deny; }
+    size = 64;
+}
+
+stage acl_s {
+    parser { ipv4 };
+    matcher {
+        if (ipv4.isValid()) acl.apply();
+        else;
+    };
+    executor { 1: deny; default: NoAction; }
+}
+";
+
+const ACL_SCRIPT: &str = "
+load acl.rp4 --func_name acl
+add_link bd_vrf acl_s
+add_link acl_s fwd_mode
+del_link bd_vrf fwd_mode
+table_add acl deny 0x0a000063 0x0a010109 =>
+";
+
+/// The packet entry points that survive: each drains everything injected
+/// and hands back what the device emitted. `out` is reused across calls.
+type Drainer = fn(&mut IpbmSwitch, &mut Vec<Packet>) -> Vec<Packet>;
+
+/// `(name, drainer, holds traffic back between Drain and Resume)`.
+const ENTRY_POINTS: [(&str, Drainer, bool); 4] = [
+    ("run", |sw, _| sw.run(), true),
+    ("run_batch", |sw, _| sw.run_batch(), true),
+    (
+        "run_batch_into",
+        |sw, out| {
+            out.clear();
+            sw.run_batch_into(out);
+            out.clone()
+        },
+        true,
+    ),
+    // The journey `rp4-benchmark --trace` drives, part by part. It pulls
+    // from the rings itself, so it has no drain gate to check.
+    ("rx_burst/run_burst/transmit", traced_journey, false),
+];
+
+fn traced_journey(sw: &mut IpbmSwitch, out: &mut Vec<Packet>) -> Vec<Packet> {
+    let mut rx = Vec::new();
+    sw.cm.rx_burst(usize::MAX, &mut rx);
+    sw.pm.ensure_compiled(&sw.linkage, &sw.sm);
+    out.clear();
+    sw.pm
+        .run_burst(&sw.linkage, &mut sw.sm, &mut rx, out)
+        .expect("a burst never fails as a whole");
+    for p in out.drain(..) {
+        sw.cm.transmit(p);
+    }
+    sw.cm.tx_burst(out);
+    out.clone()
+}
+
+#[test]
+fn every_entry_point_agrees_and_holds_traffic_while_draining() {
+    use ipsa_netpkt::builder::{ipv4_udp_packet, Ipv4UdpSpec};
+
+    let v4 = |src_ip, dst_ip| {
+        ipv4_udp_packet(&Ipv4UdpSpec {
+            src_ip,
+            dst_ip,
+            ..Default::default()
+        })
+    };
+    let mut runt = v4(0x0a00_0001, 0x0a01_0101);
+    runt.data.truncate(24); // mid-IPv4-header
+    let mut frames = traffic(23, 20, 32, 200);
+    frames.push(runt);
+    frames.push(v4(0x0a00_0063, 0x0a01_0109)); // the ACL entry
+    frames.push(v4(0x0a00_0001, 0x0b01_0101)); // no route
+    frames.extend(traffic(29, 20, 32, 50));
+
+    // Everything observable plus the operator-facing report.
+    let snapshot = |sw: &IpbmSwitch, out: Vec<Packet>| {
+        let report = serde_json::to_string(&sw.report()).expect("report serializes");
+        (observe(sw, out), report)
+    };
+    let mut reference = None;
+    for (name, drain, gated) in ENTRY_POINTS {
+        let mut flow = programmed_switch(None);
+        flow.run_script(ACL_SCRIPT, &|file| {
+            (file == "acl.rp4").then(|| ACL_RP4.to_string())
+        })
+        .expect("acl stage loads in situ");
+        let sw = &mut flow.device;
+        assert!(
+            sw.pm.has_facts(),
+            "{name}: facts reinstalled after the load"
+        );
+        let mut out = Vec::new();
+
+        for p in &frames {
+            sw.inject(p.clone());
+        }
+        let emitted = drain(sw, &mut out);
+        let first = snapshot(sw, emitted);
+        let seen = &first.0;
+        assert_eq!(seen.pipeline.parse_drops, 1, "{name}: the runt");
+        assert_eq!(seen.pipeline.action_drops, 1, "{name}: the ACL hit");
+        assert_eq!(seen.tm.no_route_drops, 1, "{name}: the unrouted frame");
+        assert_eq!(seen.out.len(), frames.len() - 3, "{name}");
+
+        // Between Drain and Resume the Device entry points hold traffic
+        // back.
+        sw.apply(&[ControlMsg::Drain]).expect("drain applies");
+        assert!(
+            !sw.pm.has_facts(),
+            "{name}: a structural message clears facts"
+        );
+        for p in &frames {
+            sw.inject(p.clone());
+        }
+        if gated {
+            assert!(
+                drain(sw, &mut out).is_empty(),
+                "{name}: emitted while draining"
+            );
+            assert_eq!(
+                sw.pending(),
+                frames.len(),
+                "{name}: pending() while draining"
+            );
+        }
+        sw.apply(&[ControlMsg::Resume]).expect("resume applies");
+        let emitted = drain(sw, &mut out);
+        let second = snapshot(sw, emitted);
+        assert_eq!(sw.pending(), 0, "{name}");
+
+        let got = (first, second);
+        match &reference {
+            None => reference = Some(got),
+            Some(want) => assert_eq!(&got, want, "`{name}` differs from `run`"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -325,8 +325,9 @@ pub struct PipelineStats {
     pub action_drops: u64,
     /// Malformed packets dropped by the parser (truncated mid-header).
     pub parse_drops: u64,
-    /// Packets that arrived while the pipeline was draining (held).
-    pub held_during_drain: u64,
+    /// Packets dropped on any other per-packet pipeline error (e.g. a
+    /// live template naming a destroyed table).
+    pub error_drops: u64,
 }
 
 /// The pipeline module.
@@ -438,50 +439,39 @@ impl PipelineModule {
         self.compiled.is_some()
     }
 
-    /// Runs one packet through the compiled fast path when one is
-    /// installed, falling back to [`PipelineModule::run_packet`] otherwise.
-    /// Call [`PipelineModule::ensure_compiled`] once per batch first.
-    pub fn run_batch_packet(
-        &mut self,
-        linkage: &HeaderLinkage,
-        sm: &mut StorageModule,
-        pkt: Packet,
-    ) -> Result<Option<Packet>, CoreError> {
-        let Some(cp) = self.compiled.take() else {
-            return self.run_packet(linkage, sm, pkt);
-        };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = cp.run_packet(self, linkage, sm, &mut scratch, pkt);
-        self.scratch = scratch;
-        self.compiled = Some(cp);
-        r
-    }
-
     /// Checks out the compiled fast path and scratch buffers for a whole
-    /// run-to-completion drain: the take/restore round-trip
-    /// [`PipelineModule::run_batch_packet`] pays per packet happens once,
-    /// and the [`BurstRunner`] restores them when dropped.
+    /// run-to-completion drain; the [`BurstRunner`] restores them when
+    /// dropped.
     ///
     /// Call [`PipelineModule::ensure_compiled`] once per epoch first; the
     /// caller guarantees no control-plane write lands while the runner is
     /// live (this is the hoisted epoch-validity model). Without a compiled
     /// path the runner falls back to the interpreter per packet.
-    pub fn burst_runner(&mut self) -> BurstRunner<'_> {
+    pub(crate) fn burst_runner(&mut self) -> BurstRunner<'_> {
         let cp = self.compiled.take();
-        let scratch = std::mem::take(&mut self.scratch);
+        self.runner(cp)
+    }
+
+    /// A [`BurstRunner`] that leaves the compiled path where it is, so
+    /// every packet takes [`PipelineModule::run_packet`]: the reference
+    /// interpreter the compiled path is checked against.
+    pub(crate) fn interp_runner(&mut self) -> BurstRunner<'_> {
+        self.runner(None)
+    }
+
+    fn runner(&mut self, cp: Option<CompiledPath>) -> BurstRunner<'_> {
         BurstRunner {
             cp,
-            scratch,
+            scratch: std::mem::take(&mut self.scratch),
             pm: self,
         }
     }
 
-    /// Runs a whole burst run-to-completion through the compiled fast path
-    /// via one [`PipelineModule::burst_runner`] checkout. Drains `pkts`,
-    /// pushes emitted packets to `out`, and classifies truncated-parse
-    /// failures as counted drops the same way the per-packet switch loop
-    /// does. On a (fatal) device error the rest of the burst is discarded
-    /// with the error propagated.
+    /// Runs a whole burst run-to-completion through one
+    /// [`PipelineModule::burst_runner`] checkout. Drains `pkts` and pushes
+    /// emitted packets to `out`; per-packet failures are counted drops
+    /// ([`PipelineStats::parse_drops`], [`PipelineStats::error_drops`]),
+    /// so no burst fails as a whole and the result is always `Ok`.
     pub fn run_burst(
         &mut self,
         linkage: &HeaderLinkage,
@@ -490,18 +480,10 @@ impl PipelineModule {
         out: &mut Vec<Packet>,
     ) -> Result<(), CoreError> {
         let mut runner = self.burst_runner();
-        let mut result = Ok(());
         for pkt in pkts.drain(..) {
-            match runner.run(linkage, sm, pkt) {
-                Ok(Some(p)) => out.push(p),
-                Ok(None) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
+            out.extend(runner.run(linkage, sm, pkt));
         }
-        result
+        Ok(())
     }
 
     /// Number of physical slots.
@@ -591,9 +573,11 @@ impl PipelineModule {
 /// A checked-out fast path (see [`PipelineModule::burst_runner`]): holds
 /// the compiled path and scratch buffers for the duration of a
 /// run-to-completion drain, so the hot loop pays no per-packet checkout.
-/// Restores both into the pipeline on drop.
+/// Restores both into the pipeline on drop. The device's one per-packet
+/// loop body: every drain on the single-core switch goes through
+/// [`BurstRunner::run`].
 #[derive(Debug)]
-pub struct BurstRunner<'a> {
+pub(crate) struct BurstRunner<'a> {
     cp: Option<CompiledPath>,
     scratch: EvalScratch,
     pm: &'a mut PipelineModule,
@@ -602,32 +586,60 @@ pub struct BurstRunner<'a> {
 impl BurstRunner<'_> {
     /// True while a structural update holds traffic back.
     #[inline]
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.pm.draining
     }
 
-    /// Runs one packet — compiled fast path when installed, interpreter
-    /// otherwise — classifying truncated-parse failures as counted drops
-    /// the same way the per-packet switch loop does.
+    /// Runs one packet — compiled fast path when checked out, interpreter
+    /// otherwise — and returns what it emitted; a packet that failed is a
+    /// counted drop (see [`classify_packet_result`]).
     #[inline]
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         linkage: &HeaderLinkage,
         sm: &mut StorageModule,
         pkt: Packet,
-    ) -> Result<Option<Packet>, CoreError> {
+    ) -> Option<Packet> {
         let r = match &self.cp {
             Some(cp) => cp.run_packet(self.pm, linkage, sm, &mut self.scratch, pkt),
             None => self.pm.run_packet(linkage, sm, pkt),
         };
-        crate::switch::classify_packet_result(r, &mut self.pm.stats)
+        classify_packet_result(r, &mut self.pm.stats)
     }
 }
 
 impl Drop for BurstRunner<'_> {
     fn drop(&mut self) {
         self.pm.scratch = std::mem::take(&mut self.scratch);
-        self.pm.compiled = self.cp.take();
+        // An interpreter runner checked nothing out; the compiled path it
+        // left in place must survive it.
+        if let Some(cp) = self.cp.take() {
+            self.pm.compiled = Some(cp);
+        }
+    }
+}
+
+/// Classifies one per-packet pipeline result the way real hardware does:
+/// one bad packet is a counted drop, never a device fault. Malformed
+/// traffic (truncated mid-header) is a parse drop — switches discard
+/// runts; any other error (e.g. a live template naming a destroyed table)
+/// is an error drop. Shared by [`BurstRunner::run`] and the sharded
+/// workers so both planes count drops identically.
+#[inline]
+pub(crate) fn classify_packet_result(
+    r: Result<Option<Packet>, CoreError>,
+    stats: &mut PipelineStats,
+) -> Option<Packet> {
+    match r {
+        Ok(out) => out,
+        Err(CoreError::Packet(ipsa_netpkt::packet::PacketError::Truncated { .. })) => {
+            stats.parse_drops += 1;
+            None
+        }
+        Err(_) => {
+            stats.error_drops += 1;
+            None
+        }
     }
 }
 

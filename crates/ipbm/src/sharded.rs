@@ -821,7 +821,7 @@ impl ShardedSwitch {
         }
     }
 
-    /// The common front half of a sharded batch: handles the draining and
+    /// The front half of a sharded batch: handles the draining and
     /// interpreter-fallback cases (`Err` carries their finished output) or
     /// returns `(shard, bucket)` RSS assignments over the live shards.
     #[allow(clippy::result_large_err)]
@@ -891,36 +891,6 @@ impl ShardedSwitch {
         }
     }
 
-    /// [`Device::run_batch`], but shards process one at a time instead of
-    /// concurrently. Output, statistics, and counters are identical (the
-    /// fold already happens in shard order); what changes is that each
-    /// worker's self-timed `busy_ns` is uncontended by its siblings. This
-    /// is the measurement mode for the scaling bench on hosts with fewer
-    /// cores than shards, where concurrent workers timeslice one core and
-    /// wall-clock readings would charge each shard for its neighbors.
-    pub fn run_batch_sequential(&mut self) -> Vec<Packet> {
-        match self.pre_batch() {
-            Ok(work) => {
-                let mut leftover: Vec<Packet> = Vec::new();
-                for (shard, bucket) in work {
-                    if bucket.is_empty() {
-                        self.recycle_bucket(bucket);
-                        continue;
-                    }
-                    match self.dispatch(shard, bucket) {
-                        Ok(()) => self.collect_from(&[shard]),
-                        Err(mut b) => {
-                            leftover.append(&mut b);
-                            self.recycle_bucket(b);
-                        }
-                    }
-                }
-                self.finish_batch(leftover)
-            }
-            Err(handled) => handled,
-        }
-    }
-
     /// One autoscale decision per data batch, taken right after the
     /// batch's barrier has folded every live shard. Compares the mean
     /// per-live-shard busy time against the hysteresis thresholds and
@@ -971,7 +941,7 @@ impl ShardedSwitch {
         pm.stats.emitted += r.stats.emitted;
         pm.stats.action_drops += r.stats.action_drops;
         pm.stats.parse_drops += r.stats.parse_drops;
-        pm.stats.held_during_drain += r.stats.held_during_drain;
+        pm.stats.error_drops += r.stats.error_drops;
         pm.tm.stats.fold(&r.tm);
         for (slot, ss) in r.slot_stats.iter().enumerate() {
             if let Some(s) = pm.slots.get_mut(slot) {
@@ -1202,17 +1172,8 @@ fn worker_loop(
                         &mut scratch,
                         pkt,
                     );
-                    // Same drop taxonomy as the single-core switch; other
-                    // errors surface loudly in debug builds only (the data
-                    // plane must not wedge on one bad packet).
-                    match crate::switch::classify_packet_result(r, &mut stats) {
-                        Ok(Some(p)) => out.push(p),
-                        Ok(None) => {}
-                        Err(e) => {
-                            debug_assert!(false, "shard pipeline error: {e}");
-                            let _ = e;
-                        }
-                    }
+                    // Same drop taxonomy as the single-core switch.
+                    out.extend(crate::pm::classify_packet_result(r, &mut stats));
                 }
                 busy_ns += t0.elapsed().as_nanos() as u64;
                 // Hand the emptied bucket back at the next barrier.
@@ -1462,24 +1423,6 @@ mod tests {
             second.iter().all(|p| p.meta.egress_port == Some(6)),
             "all packets ran under the new epoch"
         );
-    }
-
-    #[test]
-    fn sequential_batch_matches_concurrent() {
-        let mut a = ShardedSwitch::new(IpbmConfig::default(), 3);
-        a.apply(&l3_msgs(4)).unwrap();
-        let mut b = ShardedSwitch::new(IpbmConfig::default(), 3);
-        b.apply(&l3_msgs(4)).unwrap();
-        for p in traffic(48) {
-            a.inject(p.clone());
-            b.inject(p);
-        }
-        let out_a = a.run_batch();
-        let out_b = b.run_batch_sequential();
-        // Both modes fold in shard order, so even the output order matches.
-        assert_eq!(out_a, out_b);
-        assert_eq!(a.report().pipeline, b.report().pipeline);
-        assert!(b.shard_busy_ns().iter().sum::<u64>() > 0);
     }
 
     #[test]

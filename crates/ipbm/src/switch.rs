@@ -14,7 +14,7 @@ use serde::Serialize;
 
 use crate::ccm;
 use crate::cm::{CommModule, PortStats};
-use crate::pm::{PipelineModule, PipelineStats, TmStats};
+use crate::pm::{BurstRunner, PipelineModule, PipelineStats, TmStats};
 use crate::resilience::{ApplyJournal, FaultPlan};
 use crate::sm::StorageModule;
 use crate::tsp::SlotStats;
@@ -273,115 +273,45 @@ impl IpbmSwitch {
         }
     }
 
-    /// Processes exactly one pending packet through the interpreter.
-    /// Returns whether a packet was emitted (it lands on the CM's tx side;
-    /// fetch it with [`CommModule::collect_tx`]); `Ok(false)` when idle,
-    /// draining, or the packet was dropped.
-    pub fn step(&mut self) -> Result<bool, CoreError> {
-        if self.pm.draining {
-            return Ok(false);
-        }
-        let Some(pkt) = self.cm.next_rx() else {
-            return Ok(false);
-        };
-        let r = self.pm.run_packet(&self.linkage, &mut self.sm, pkt);
-        self.finish_step(r)
-    }
-
-    /// [`IpbmSwitch::step`] via the compiled fast path when one is
-    /// installed (the caller ensures compilation once per batch).
-    fn step_batch(&mut self) -> Result<bool, CoreError> {
-        if self.pm.draining {
-            return Ok(false);
-        }
-        let Some(pkt) = self.cm.next_rx() else {
-            return Ok(false);
-        };
-        let r = self.pm.run_batch_packet(&self.linkage, &mut self.sm, pkt);
-        self.finish_step(r)
-    }
-
-    fn finish_step(&mut self, r: Result<Option<Packet>, CoreError>) -> Result<bool, CoreError> {
-        match classify_packet_result(r, &mut self.pm.stats)? {
-            Some(out) => {
-                self.cm.transmit(out);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
     /// Batched run-to-completion ingress: drains the RX rings through the
     /// compiled fast path with the epoch check and the compiled-path/
-    /// scratch checkout hoisted to once per drain (the per-packet loop
-    /// pays both per packet), transmits, then drains the TX rings into
-    /// the caller-owned `out`. Returns how many packets were handed back.
-    /// Packets flow ring→pipeline→ring directly — measurement showed even
-    /// one intermediate staging buffer costs ~2-3% at these rates.
-    /// Transmit order is processing order, identical to the per-packet
-    /// loop. With a [`PacketArena`](ipsa_netpkt::arena::PacketArena)
-    /// recycling the packets handed back through `out`, the whole
-    /// inject→process→collect loop is allocation-free in steady state
-    /// (`tests/alloc_free.rs`).
+    /// scratch checkout hoisted to once per drain, transmits, then drains
+    /// the TX rings into the caller-owned `out`. Returns how many packets
+    /// were handed back. Packets flow ring→pipeline→ring directly —
+    /// measurement showed even one intermediate staging buffer costs ~2-3%
+    /// at these rates. Transmit order is processing order. With a
+    /// [`PacketArena`](ipsa_netpkt::arena::PacketArena) recycling the
+    /// packets handed back through `out`, the whole inject→process→collect
+    /// loop is allocation-free in steady state (`tests/alloc_free.rs`).
     pub fn run_batch_into(&mut self, out: &mut Vec<Packet>) -> usize {
         // Resolve-once / run-many: build (or reuse) the compiled fast path
         // for this control-plane epoch. If compilation fails, the runner
-        // interprets each packet, as the per-packet loop always has.
+        // interprets each packet.
         self.pm.ensure_compiled(&self.linkage, &self.sm);
         // One compiled-path/scratch checkout for the whole drain — no
         // control-plane write can land while the runner is live.
-        let mut runner = self.pm.burst_runner();
-        while !runner.draining() {
-            let Some(pkt) = self.cm.next_rx() else {
-                break;
-            };
-            match runner.run(&self.linkage, &mut self.sm, pkt) {
-                Ok(Some(p)) => self.cm.transmit(p),
-                Ok(None) => {}
-                Err(e) => {
-                    debug_assert!(false, "pipeline error: {e}");
-                    let _ = e;
-                }
-            }
-        }
-        drop(runner);
+        let runner = self.pm.burst_runner();
+        drain(runner, &mut self.cm, &self.linkage, &mut self.sm);
         self.cm.tx_burst(out)
-    }
-
-    /// The pre-burst per-packet batch loop, kept as the measurement
-    /// baseline for [`IpbmSwitch::run_batch_into`] (`benches/scale.rs`
-    /// ingress series). Semantically identical, one packet at a time.
-    #[doc(hidden)]
-    pub fn run_batch_per_packet(&mut self) -> Vec<Packet> {
-        if !self.pm.ensure_compiled(&self.linkage, &self.sm) {
-            return self.run();
-        }
-        while !self.pm.draining && self.cm.rx_pending() > 0 {
-            if let Err(e) = self.step_batch() {
-                debug_assert!(false, "pipeline error: {e}");
-                let _ = e;
-            }
-        }
-        self.cm.collect_tx()
     }
 }
 
-/// Classifies one per-packet pipeline result the way real hardware does:
-/// malformed traffic (e.g. truncated mid-header) is a parse drop, not a
-/// device fault — switches discard runts. Any other error propagates.
-/// Shared by the interpreter step loop and the sharded workers so both
-/// planes count drops identically.
+/// The device's one drain loop: RX rings → `runner` → TX rings, until the
+/// rings are empty or a structural update holds traffic back.
 #[inline]
-pub(crate) fn classify_packet_result(
-    r: Result<Option<Packet>, CoreError>,
-    stats: &mut PipelineStats,
-) -> Result<Option<Packet>, CoreError> {
-    match r {
-        Err(CoreError::Packet(ipsa_netpkt::packet::PacketError::Truncated { .. })) => {
-            stats.parse_drops += 1;
-            Ok(None)
+fn drain(
+    mut runner: BurstRunner<'_>,
+    cm: &mut CommModule,
+    linkage: &HeaderLinkage,
+    sm: &mut StorageModule,
+) {
+    while !runner.draining() {
+        let Some(pkt) = cm.next_rx() else {
+            break;
+        };
+        if let Some(p) = runner.run(linkage, sm, pkt) {
+            cm.transmit(p);
         }
-        other => other,
     }
 }
 
@@ -440,15 +370,8 @@ impl Device for IpbmSwitch {
     }
 
     fn run(&mut self) -> Vec<Packet> {
-        while !self.pm.draining && self.cm.rx_pending() > 0 {
-            // Per-packet errors surface as drops with the error traced to
-            // stderr in debug builds; the data plane must not wedge on one
-            // bad packet.
-            if let Err(e) = self.step() {
-                debug_assert!(false, "pipeline error: {e}");
-                let _ = e;
-            }
-        }
+        let runner = self.pm.interp_runner();
+        drain(runner, &mut self.cm, &self.linkage, &mut self.sm);
         self.cm.collect_tx()
     }
 
@@ -472,6 +395,22 @@ mod tests {
     use ipsa_core::value::ValueRef;
     use ipsa_netpkt::builder::{ipv4_udp_packet, Ipv4UdpSpec};
 
+    /// An LPM-on-destination table schema, one block wide.
+    fn lpm_table(name: &str) -> TableDef {
+        TableDef {
+            name: name.into(),
+            key: vec![KeyField {
+                source: ValueRef::field("ipv4", "dst_addr"),
+                bits: 32,
+                kind: MatchKind::Lpm,
+            }],
+            size: 64,
+            actions: vec!["fwd".into()],
+            default_action: ActionCall::no_action(),
+            with_counters: false,
+        }
+    }
+
     /// Builds a one-stage L3 switch via control messages only.
     fn minimal_switch() -> IpbmSwitch {
         let mut sw = IpbmSwitch::new(IpbmConfig::default());
@@ -489,18 +428,7 @@ mod tests {
                 }],
             }),
             ControlMsg::CreateTable {
-                def: TableDef {
-                    name: "route".into(),
-                    key: vec![KeyField {
-                        source: ValueRef::field("ipv4", "dst_addr"),
-                        bits: 32,
-                        kind: MatchKind::Lpm,
-                    }],
-                    size: 64,
-                    actions: vec!["fwd".into()],
-                    default_action: ActionCall::no_action(),
-                    with_counters: false,
-                },
+                def: lpm_table("route"),
                 blocks: vec![0],
             },
             ControlMsg::WriteTemplate {
@@ -641,39 +569,72 @@ mod tests {
     }
 
     #[test]
-    fn burst_batch_matches_per_packet_batch() {
-        let mut per_pkt = minimal_switch();
-        let mut burst = minimal_switch();
-        // More than two RX_BURSTs, with drops interleaved.
-        let inject_wave = |sw: &mut IpbmSwitch, salt: u32| {
-            for i in 0..150u32 {
-                let dst = if i % 3 == 0 {
-                    0x0b01_0101 // unrouted -> no-route drop
-                } else {
-                    0x0a01_0000 + i + salt
-                };
-                sw.inject(ipv4_udp_packet(&Ipv4UdpSpec {
-                    dst_ip: dst,
-                    ..Default::default()
-                }));
-            }
-        };
-        inject_wave(&mut per_pkt, 0);
-        inject_wave(&mut burst, 0);
-        let out_a = per_pkt.run_batch_per_packet();
-        let mut out_b = Vec::new();
-        assert_eq!(burst.run_batch_into(&mut out_b), out_a.len());
-        assert_eq!(out_a, out_b);
-        assert_eq!(per_pkt.report().pipeline, burst.report().pipeline);
-        assert_eq!(per_pkt.report().tm, burst.report().tm);
+    fn pipeline_error_is_a_counted_drop_not_a_panic() {
+        // A second stage whose table is then destroyed under it: the epoch
+        // no longer compiles, and the interpreter fallback fails every
+        // packet with `UnknownTable`.
+        let mut sw = minimal_switch();
+        sw.apply(&[
+            ControlMsg::Drain,
+            ControlMsg::CreateTable {
+                def: lpm_table("audit"),
+                blocks: vec![1],
+            },
+            ControlMsg::WriteTemplate {
+                slot: 1,
+                template: TspTemplate {
+                    stage_name: "audit_s".into(),
+                    func: "base".into(),
+                    parse: vec!["ipv4".into()],
+                    branches: vec![MatcherBranch {
+                        pred: ipsa_core::predicate::Predicate::IsValid("ipv4".into()),
+                        table: Some("audit".into()),
+                    }],
+                    executor: vec![],
+                    default_action: ActionCall::no_action(),
+                },
+            },
+            ControlMsg::ConnectCrossbar {
+                slot: 1,
+                blocks: vec![1],
+            },
+            ControlMsg::SetSelector(SelectorConfig::split(32, 2, 0).unwrap()),
+            ControlMsg::Resume,
+            ControlMsg::DestroyTable("audit".into()),
+        ])
+        .unwrap();
 
-        // Second wave through the same reused output buffer.
-        inject_wave(&mut per_pkt, 1000);
-        inject_wave(&mut burst, 1000);
-        let out_a2 = per_pkt.run_batch_per_packet();
-        out_b.clear();
-        assert_eq!(burst.run_batch_into(&mut out_b), out_a2.len());
-        assert_eq!(out_a2, out_b);
+        let routed = || {
+            ipv4_udp_packet(&Ipv4UdpSpec {
+                dst_ip: 0x0a010101,
+                ..Default::default()
+            })
+        };
+        sw.inject(routed());
+        sw.inject(routed());
+        assert!(sw.run().is_empty());
+        sw.inject(routed());
+        sw.inject(routed());
+        assert!(sw.run_batch().is_empty());
+        assert!(!sw.pm.has_compiled(), "a dangling table must not compile");
+        let rep = sw.report().pipeline;
+        assert_eq!(rep.received, 4);
+        assert_eq!(rep.error_drops, 4, "received == counted drops");
+        assert_eq!(rep.emitted, 0);
+        assert_eq!(sw.pending(), 0, "failed packets leave the rings");
+
+        // Clearing the broken slot heals the device.
+        sw.apply(&[
+            ControlMsg::Drain,
+            ControlMsg::ClearSlot { slot: 1 },
+            ControlMsg::Resume,
+        ])
+        .unwrap();
+        sw.inject(routed());
+        assert_eq!(sw.run().len(), 1);
+        sw.inject(routed());
+        assert_eq!(sw.run_batch().len(), 1);
+        assert_eq!(sw.report().pipeline.error_drops, 4);
     }
 
     #[test]

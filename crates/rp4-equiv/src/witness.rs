@@ -197,12 +197,13 @@ fn try_cross_check(
 
     let mut last: Result<Option<Packet>, String> = Ok(None);
     for _ in 0..conc.injections {
-        sw.inject(conc.packet.clone());
-        last = match sw.step() {
-            Ok(true) => Ok(sw.cm.collect_tx().pop()),
-            Ok(false) => Ok(None),
-            Err(e) => Err(e.to_string()),
-        };
+        // The interpreter's per-packet core, called directly: the
+        // cross-check needs the per-packet `Err` the device's drain loop
+        // would turn into a counted drop.
+        last = sw
+            .pm
+            .run_packet(&sw.linkage, &mut sw.sm, conc.packet.clone())
+            .map_err(|e| e.to_string());
     }
     let resolve = |t: &Term| resolve_term(t, &conc, design);
 
