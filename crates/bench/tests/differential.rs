@@ -9,6 +9,8 @@
 //! counters — across all four bundled rP4 programs and across a mid-stream
 //! incremental update (which forces an invalidate + recompile).
 
+use std::collections::BTreeMap;
+
 use ipbm::{IpbmSwitch, ShardedSwitch};
 use ipsa_bench::{ipsa_sharded_flow, ipsa_sw_flow, populate_rp4_flow};
 use ipsa_controller::{programs, Rp4Flow};
@@ -374,6 +376,21 @@ fn pkt_key(p: &Packet) -> String {
     serde_json::to_string(p).expect("packet serializes")
 }
 
+/// Outputs sorted into a canonical, inter-flow-order-free form.
+fn canonical(mut out: Vec<Packet>) -> Vec<Packet> {
+    out.sort_by_key(pkt_key);
+    out
+}
+
+/// Per-flow output subsequences, keyed by the full flow hash.
+fn flows_of(out: &[Packet]) -> BTreeMap<u64, Vec<String>> {
+    let mut m: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    for p in out {
+        m.entry(flow_hash(&p.data)).or_default().push(pkt_key(p));
+    }
+    m
+}
+
 /// Runs the interpreter and the sharded runtime over the same traffic and
 /// asserts: per-flow packet sequences identical, and every observable equal
 /// once outputs are sorted into a canonical (inter-flow-order-free) form.
@@ -425,10 +442,6 @@ fn assert_shard_invariant(
     );
     // Modulo inter-flow order, everything observable must agree: canonical-
     // sort both outputs, then compare the full stat surface.
-    let canonical = |mut out: Vec<Packet>| -> Vec<Packet> {
-        out.sort_by_key(pkt_key);
-        out
-    };
     let oi = observe(&interp.device, canonical(out_i));
     let os = observe(&sharded.device.master, canonical(out_s));
     assert_eq!(oi, os);
@@ -543,23 +556,11 @@ fn dynamic_scaling_matches_interpreter() {
     let s = sharded.device.scale_stats();
     assert!(s.grows >= 2 && s.shrinks >= 3 && s.retired >= 3, "{s:?}");
 
-    // Per-flow subsequences, keyed by the full flow hash.
-    let flows_of = |out: &[Packet]| -> std::collections::BTreeMap<u64, Vec<String>> {
-        let mut m: std::collections::BTreeMap<u64, Vec<String>> = Default::default();
-        for p in out {
-            m.entry(flow_hash(&p.data)).or_default().push(pkt_key(p));
-        }
-        m
-    };
     assert_eq!(
         flows_of(&out_i),
         flows_of(&out_s),
         "per-flow packet order must survive dynamic scaling"
     );
-    let canonical = |mut out: Vec<Packet>| -> Vec<Packet> {
-        out.sort_by_key(pkt_key);
-        out
-    };
     let oi = observe(&interp.device, canonical(out_i));
     let os = observe(&sharded.device.master, canonical(out_s));
     assert_eq!(oi, os);
@@ -593,4 +594,125 @@ proptest! {
             if update { Some(&msgs) } else { None },
         );
     }
+}
+
+/// One `ipv4_lpm` route in VRF 1 (the base design's FIB key).
+fn route_key(prefix: u128, len: usize) -> Vec<KeyMatch> {
+    vec![
+        KeyMatch::Exact(1),
+        KeyMatch::Lpm {
+            value: prefix,
+            prefix_len: len,
+        },
+    ]
+}
+
+fn add_route(prefix: u128, len: usize, nexthop: u128) -> ControlMsg {
+    ControlMsg::AddEntry {
+        table: "ipv4_lpm".into(),
+        entry: TableEntry {
+            key: route_key(prefix, len),
+            priority: 0,
+            action: ActionCall::new("set_nexthop", vec![nexthop]),
+            counter: 0,
+        },
+    }
+}
+
+fn del_route(prefix: u128, len: usize) -> ControlMsg {
+    ControlMsg::DelEntry {
+        table: "ipv4_lpm".into(),
+        key: route_key(prefix, len),
+    }
+}
+
+/// Entry-only batches that move the generator's flows (all in
+/// 10.1.0.0/24) between nexthops 7 and 9 and through misses: fresh and
+/// row-growing adds, replaces, deletes, and a default-action change.
+fn entry_churn() -> Vec<Vec<ControlMsg>> {
+    vec![
+        vec![add_route(0x0a01_0000, 28, 9), add_route(0x0a01_0500, 24, 9)],
+        vec![
+            add_route(0x0a01_0000, 24, 9),
+            del_route(0x0a01_0500, 24),
+            ControlMsg::SetDefaultAction {
+                table: "ipv4_lpm".into(),
+                action: ActionCall::new("set_nexthop", vec![9]),
+            },
+        ],
+        vec![del_route(0x0a01_0000, 24), del_route(0x0a01_0000, 28)],
+        vec![add_route(0x0a01_0000, 24, 7), add_route(0x0a01_0010, 28, 9)],
+    ]
+}
+
+/// Entry-only batches between bursts open no epoch: the single-core
+/// switch keeps its compiled path and the shards keep their published one,
+/// yet every burst runs on the entries applied before it. The interpreter,
+/// `run_batch` and the sharded runtime at `SHARDS` agree on every output
+/// and on the serialized `SwitchReport`.
+#[test]
+fn entry_batches_between_bursts_keep_the_compiled_path() {
+    let mut interp = programmed_switch(None);
+    let mut fast = programmed_switch(None);
+    let mut sharded = programmed_sharded(None, shard_count());
+    let (mut out_i, mut out_f, mut out_s) = (Vec::new(), Vec::new(), Vec::new());
+    let churn = entry_churn();
+    for k in 0..=churn.len() {
+        for p in traffic(31 + k as u64, 20, 32, 150) {
+            interp.device.inject(p.clone());
+            fast.device.inject(p.clone());
+            sharded.device.inject(p);
+        }
+        out_i.extend(interp.device.run());
+        out_f.extend(fast.device.run_batch());
+        out_s.extend(sharded.device.run_batch());
+        assert!(fast.device.pm.has_compiled() && sharded.device.on_compiled_path());
+        let Some(msgs) = churn.get(k) else { break };
+        let epochs = (fast.device.pm.epoch(), sharded.device.master.pm.epoch());
+        for dev in [
+            &mut interp.device as &mut dyn Device,
+            &mut fast.device,
+            &mut sharded.device,
+        ] {
+            dev.apply(msgs).expect("entry batch applies");
+        }
+        assert!(fast.device.pm.has_compiled(), "round {k}: path dropped");
+        assert_eq!(
+            (fast.device.pm.epoch(), sharded.device.master.pm.epoch()),
+            epochs,
+            "round {k}: an entry batch opened an epoch"
+        );
+        assert!(
+            fast.device.pm.has_facts(),
+            "round {k}: facts survive entry ops"
+        );
+    }
+    let mut ports: Vec<_> = out_i.iter().map(|p| p.meta.egress_port).collect();
+    ports.sort_unstable();
+    ports.dedup();
+    assert!(ports.len() > 1, "churn never moved a flow");
+
+    let report = |r: ipbm::SwitchReport| serde_json::to_string(&r).expect("report serializes");
+    let (ri, rf, rs) = (
+        report(interp.device.report()),
+        report(fast.device.report()),
+        report(sharded.device.report()),
+    );
+    assert_eq!(
+        flows_of(&out_i),
+        flows_of(&out_s),
+        "per-flow order under sharding"
+    );
+    let os = observe(&sharded.device.master, canonical(out_s));
+    let oi = observe(&interp.device, out_i);
+    assert_eq!(oi, observe(&fast.device, out_f));
+    assert_eq!(ri, rf);
+    assert_eq!(
+        Observed {
+            out: canonical(oi.out.clone()),
+            ..oi
+        },
+        os
+    );
+    assert_eq!(ri, rs);
 }

@@ -143,10 +143,16 @@ impl MemoryPool {
         self.blocks.get(id).map(|b| b.data.as_slice())
     }
 
-    /// Overwrites a block's raw bytes from a journaled pre-image. The byte
-    /// length must match the block's geometry (block shapes are fixed at
-    /// construction, so a mismatch means the snapshot is not this block's).
-    pub fn restore_block_data(&mut self, id: usize, bytes: &[u8]) -> Result<(), CoreError> {
+    /// Puts a block back the way a journal captured it: owner and raw
+    /// bytes. The byte length must match the block's geometry (block shapes
+    /// are fixed at construction, so a mismatch means the snapshot is not
+    /// this block's).
+    pub fn restore_block(
+        &mut self,
+        id: usize,
+        owner: Option<String>,
+        bytes: &[u8],
+    ) -> Result<(), CoreError> {
         let b = self
             .blocks
             .get_mut(id)
@@ -158,6 +164,7 @@ impl MemoryPool {
                 b.data.len()
             )));
         }
+        b.owner = owner;
         b.data.copy_from_slice(bytes);
         Ok(())
     }
@@ -268,7 +275,7 @@ impl MemoryPool {
         Ok(())
     }
 
-    fn read_block_row(&self, id: usize, row: usize) -> Result<Vec<u8>, CoreError> {
+    fn read_block_row(&self, id: usize, row: usize) -> Result<&[u8], CoreError> {
         let b = self.block(id).ok_or(CoreError::BlockConflict {
             block: id,
             detail: "no such block".into(),
@@ -280,7 +287,7 @@ impl MemoryPool {
                 detail: format!("row {row} out of depth"),
             });
         }
-        Ok(b.data[row * rb..(row + 1) * rb].to_vec())
+        Ok(&b.data[row * rb..(row + 1) * rb])
     }
 }
 
@@ -378,15 +385,44 @@ impl TableBlockMap {
         Ok(())
     }
 
+    /// Zeroes a row across its blocks: what [`TableBlockMap::write_row`] of
+    /// an all-zero entry does, without building one.
+    pub fn clear_row(&self, pool: &mut MemoryPool, row: usize) -> Result<(), CoreError> {
+        let (first, in_block) = self.locate(row, pool)?;
+        for &id in &self.block_ids[first..first + self.cols] {
+            pool.write_block_row(id, in_block, &[])?;
+        }
+        Ok(())
+    }
+
     /// Reads an entry's serialized bytes back.
     pub fn read_row(&self, pool: &MemoryPool, row: usize) -> Result<Vec<u8>, CoreError> {
-        let (first, in_block) = self.locate(row, pool)?;
         let mut out = Vec::new();
-        for c in 0..self.cols {
-            out.extend(pool.read_block_row(self.block_ids[first + c], in_block)?);
-        }
-        out.truncate(self.entry_bits.div_ceil(8).max(1));
+        self.read_row_into(pool, row, &mut out)?;
         Ok(out)
+    }
+
+    /// [`TableBlockMap::read_row`], appending to `out` (left as it was on
+    /// error).
+    pub fn read_row_into(
+        &self,
+        pool: &MemoryPool,
+        row: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CoreError> {
+        let (first, in_block) = self.locate(row, pool)?;
+        let start = out.len();
+        let end = start + self.entry_bits.div_ceil(8).max(1);
+        for &id in &self.block_ids[first..first + self.cols] {
+            match pool.read_block_row(id, in_block) {
+                Ok(bytes) => out.extend_from_slice(&bytes[..bytes.len().min(end - out.len())]),
+                Err(e) => {
+                    out.truncate(start);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Copies this table's content into a new set of blocks (table

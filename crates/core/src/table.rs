@@ -189,23 +189,55 @@ pub struct Hit {
     pub counter: Option<u64>,
 }
 
-/// Compact hit for the compiled fast path: the matched row plus the
-/// post-increment counter. No [`ActionCall`] clone — the caller resolves
-/// tag and action data through ids precomputed at compile time.
+/// Compact hit for the compiled fast path: the matched row, its executor
+/// tag, and the post-increment counter. No [`ActionCall`] clone — the
+/// caller reads the action data from the row in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitLite {
     /// Row (stable entry slot) that matched.
     pub row: usize,
+    /// Executor switch tag of the row's action (`1 + action index`, 0 for
+    /// the table's default action).
+    pub tag: u32,
     /// Counter value *after* increment, when the table keeps counters.
     pub counter: Option<u64>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IndexMode {
     Exact,
     Lpm { lpm_pos: usize },
     Ternary,
     Selector,
+}
+
+/// The exact pre-image of one entry operation on a [`Table`], taken by
+/// [`Table::checkpoint_row`] and replayed by [`Table::restore_row`]: the
+/// row the key touches (its displaced content, counter included), the row
+/// slab's length, the free-row heap, the live and twin-shadow counts, the
+/// holder of the key's index slot, and the row's position in the
+/// ternary/selector order. Apart from a displaced entry it holds no heap
+/// data: a journal keeps one per entry operation, and per-operation
+/// allocations living until the batch ends would scatter the entries a
+/// bulk load installs across the heap.
+#[derive(Debug, Clone)]
+pub struct RowCheckpoint {
+    row: usize,
+    prev: Option<TableEntry>,
+    rows_len: usize,
+    live: usize,
+    lpm_shadowed: usize,
+    /// Row that held the key's index slot (exact and LPM tables).
+    holder: Option<usize>,
+    /// Position of `row` in `tern_order` / `members`.
+    order_pos: Option<usize>,
+}
+
+impl RowCheckpoint {
+    /// The row the checkpointed operation writes.
+    pub fn row(&self) -> usize {
+        self.row
+    }
 }
 
 /// A runtime table: definition, entries in stable rows, and a software
@@ -215,6 +247,16 @@ pub struct Table {
     /// The schema.
     pub def: TableDef,
     rows: Vec<Option<TableEntry>>,
+    /// What a hit needs of each row, resolved when the row is written and
+    /// kept dense beside `rows`: `(executor tag, args len)` here, the args
+    /// at `hit_args[row * arg_stride..]`. A hit reads them instead of
+    /// resolving the action name and chasing the entry's own heap `args`
+    /// (scattered across the heap at FIB scale). The tag depends only on
+    /// `def.actions`, which entry operations never change. Stale for freed
+    /// rows.
+    hit_tags: Vec<(u32, u32)>,
+    hit_args: Vec<u128>,
+    arg_stride: usize,
     mode: IndexMode,
     /// Exact tables: full key -> row.
     exact_idx: HashMap<Vec<u128>, usize>,
@@ -282,6 +324,9 @@ impl Table {
         Ok(Table {
             def,
             rows: Vec::new(),
+            hit_tags: Vec::new(),
+            hit_args: Vec::new(),
+            arg_stride: 0,
             mode,
             exact_idx: HashMap::new(),
             lpm_idx: HashMap::new(),
@@ -312,8 +357,8 @@ impl Table {
         self.rows.get(row).and_then(|r| r.as_ref())
     }
 
-    /// Number of row slots (live or freed) — the bound a per-row cache such
-    /// as the compiled fast path's tag table must cover.
+    /// Number of row slots (live or freed) — the bound a per-row array
+    /// such as a shard's counter baseline must cover.
     pub fn rows_len(&self) -> usize {
         self.rows.len()
     }
@@ -411,10 +456,6 @@ impl Table {
             .collect()
     }
 
-    fn exact_key_of(&self, entry: &TableEntry) -> Vec<u128> {
-        Self::key_values(&entry.key)
-    }
-
     /// Canonical `(prefix_len, masked key vector)` an LPM key indexes
     /// under. `None` when the key cannot be in the index at all (wrong
     /// variant at the LPM position, or an out-of-width prefix length) —
@@ -437,9 +478,15 @@ impl Table {
         Some((plen, vals))
     }
 
-    fn lpm_index_key(&self, entry: &TableEntry, lpm_pos: usize) -> (usize, Vec<u128>) {
-        self.lpm_index_key_of(&entry.key, lpm_pos)
-            .expect("validated LPM entry")
+    /// The index slot `key` maps to: `(prefix_len, key vector)` in LPM
+    /// mode, `(0, key values)` in exact mode, `None` for ternary/selector
+    /// tables (no keyed index) or an LPM key that cannot be indexed.
+    fn index_slot_of(&self, key: &[KeyMatch]) -> Option<(usize, Vec<u128>)> {
+        match self.mode {
+            IndexMode::Exact => Some((0, Self::key_values(key))),
+            IndexMode::Lpm { lpm_pos } => self.lpm_index_key_of(key, lpm_pos),
+            IndexMode::Ternary | IndexMode::Selector => None,
+        }
     }
 
     /// Row whose installed key equals `key` exactly, routed through the
@@ -526,7 +573,7 @@ impl Table {
         entry.counter = 0;
         if let Some(row) = self.existing_row(&entry) {
             self.remove_row_from_index(row);
-            self.rows[row] = Some(entry);
+            self.place(row, entry);
             self.add_row_to_index(row);
             return Ok(row);
         }
@@ -536,19 +583,50 @@ impl Table {
                 capacity: self.def.size,
             });
         }
-        let row = match self.free_rows.pop() {
-            Some(Reverse(r)) => {
-                self.rows[r] = Some(entry);
-                r
-            }
-            None => {
-                self.rows.push(Some(entry));
-                self.rows.len() - 1
-            }
-        };
+        let row = self.free_rows.pop().map_or(self.rows.len(), |r| r.0);
+        self.place(row, entry);
         self.live += 1;
         self.add_row_to_index(row);
         Ok(row)
+    }
+
+    /// Writes `entry` into `row` (a slot, or the next one) and its hit data
+    /// beside it.
+    fn place(&mut self, row: usize, entry: TableEntry) {
+        let args = &entry.action.args;
+        if args.len() > self.arg_stride {
+            // Widen every row's args slot (rare: the first entry of a
+            // wider action).
+            let (old, stride) = (std::mem::take(&mut self.hit_args), self.arg_stride);
+            self.hit_args = vec![0; self.hit_tags.len() * args.len()];
+            for (r, &(_, n)) in self.hit_tags.iter().enumerate() {
+                let n = n as usize;
+                self.hit_args[r * args.len()..][..n].copy_from_slice(&old[r * stride..][..n]);
+            }
+            self.arg_stride = args.len();
+        }
+        if row == self.hit_tags.len() {
+            self.hit_tags.push((0, 0));
+            self.hit_args
+                .resize(self.hit_tags.len() * self.arg_stride, 0);
+        }
+        let tag = self.def.action_tag(&entry.action.action).unwrap_or(0);
+        self.hit_tags[row] = (tag, args.len() as u32);
+        self.hit_args[row * self.arg_stride..][..args.len()].copy_from_slice(args);
+        if row == self.rows.len() {
+            self.rows.push(Some(entry));
+        } else {
+            self.rows[row] = Some(entry);
+        }
+    }
+
+    /// A live row's action data as a hit reads it: the same values as
+    /// `row(row).action.args`, from the dense copy beside the index.
+    pub fn row_args(&self, row: usize) -> &[u128] {
+        match self.hit_tags.get(row) {
+            Some(&(_, n)) => &self.hit_args[row * self.arg_stride..][..n as usize],
+            None => &[],
+        }
     }
 
     /// Deletes the entry with exactly this key. Returns its former row.
@@ -568,6 +646,8 @@ impl Table {
     /// Removes all entries.
     pub fn clear(&mut self) {
         self.rows.clear();
+        self.hit_tags.clear();
+        self.hit_args.clear();
         self.exact_idx.clear();
         self.lpm_idx.clear();
         self.lpm_lens.clear();
@@ -579,13 +659,15 @@ impl Table {
     }
 
     fn add_row_to_index(&mut self, row: usize) {
-        let entry = self.rows[row].clone().expect("row just set");
-        match self.mode.clone() {
+        let key = &self.rows[row].as_ref().expect("row just set").key;
+        match self.mode {
             IndexMode::Exact => {
-                self.exact_idx.insert(self.exact_key_of(&entry), row);
+                self.exact_idx.insert(Self::key_values(key), row);
             }
             IndexMode::Lpm { lpm_pos } => {
-                let (plen, key) = self.lpm_index_key(&entry, lpm_pos);
+                let (plen, key) = self
+                    .lpm_index_key_of(key, lpm_pos)
+                    .expect("validated LPM entry");
                 if let Some(old) = self.lpm_idx.entry(plen).or_default().insert(key, row) {
                     if old != row {
                         // A non-canonical twin (same masked prefix,
@@ -604,7 +686,7 @@ impl Table {
                 self.tern_order.push(row);
                 let rows = &self.rows;
                 self.tern_order.sort_by_key(|&r| {
-                    let p = rows[r].as_ref().map(|e| e.priority).unwrap_or(i32::MIN);
+                    let p = rows[r].as_ref().map_or(i32::MIN, |e| e.priority);
                     (std::cmp::Reverse(p), r)
                 });
             }
@@ -615,27 +697,24 @@ impl Table {
     }
 
     fn remove_row_from_index(&mut self, row: usize) {
-        let Some(entry) = self.rows[row].clone() else {
+        let Some(e) = self.rows[row].as_ref() else {
             return;
         };
-        match self.mode.clone() {
+        match self.mode {
             IndexMode::Exact => {
-                self.exact_idx.remove(&self.exact_key_of(&entry));
+                self.exact_idx.remove(&Self::key_values(&e.key));
             }
             IndexMode::Lpm { lpm_pos } => {
-                let (plen, key) = self.lpm_index_key(&entry, lpm_pos);
+                let (plen, key) = self
+                    .lpm_index_key_of(&e.key, lpm_pos)
+                    .expect("validated LPM entry");
                 if self
                     .lpm_idx
                     .get(&plen)
                     .and_then(|m| m.get(&key))
                     .is_some_and(|&r| r == row)
                 {
-                    let m = self.lpm_idx.get_mut(&plen).expect("slot just probed");
-                    m.remove(&key);
-                    if m.is_empty() {
-                        self.lpm_idx.remove(&plen);
-                        self.lpm_lens.retain(|&l| l != plen);
-                    }
+                    self.set_index_slot(plen, key, None);
                 } else {
                     // The slot belongs to a twin (or is gone): this row was
                     // one of the shadowed ones.
@@ -644,6 +723,129 @@ impl Table {
             }
             IndexMode::Ternary => self.tern_order.retain(|&r| r != row),
             IndexMode::Selector => self.members.retain(|&r| r != row),
+        }
+    }
+
+    /// Points one index slot at `holder` (or empties it), keeping
+    /// `lpm_lens` equal to the installed prefix lengths. `plen` is ignored
+    /// in exact mode.
+    fn set_index_slot(&mut self, plen: usize, key: Vec<u128>, holder: Option<usize>) {
+        match (self.mode, holder) {
+            (IndexMode::Exact, Some(r)) => {
+                self.exact_idx.insert(key, r);
+            }
+            (IndexMode::Exact, None) => {
+                self.exact_idx.remove(&key);
+            }
+            (IndexMode::Lpm { .. }, Some(r)) => {
+                self.lpm_idx.entry(plen).or_default().insert(key, r);
+                if !self.lpm_lens.contains(&plen) {
+                    self.lpm_lens.push(plen);
+                    self.lpm_lens.sort_unstable_by(|a, b| b.cmp(a));
+                }
+            }
+            (IndexMode::Lpm { .. }, None) => {
+                if let Some(m) = self.lpm_idx.get_mut(&plen) {
+                    m.remove(&key);
+                    if m.is_empty() {
+                        self.lpm_idx.remove(&plen);
+                        self.lpm_lens.retain(|&l| l != plen);
+                    }
+                }
+            }
+            (IndexMode::Ternary | IndexMode::Selector, _) => {}
+        }
+    }
+
+    /// Checkpoints everything an [`Table::insert`] or [`Table::delete`] of
+    /// `key` can change, in O(1) of the table size (ternary and selector
+    /// order scans aside): the row the key occupies — or, for a fresh
+    /// insert, the row it will take — and the bookkeeping around it.
+    /// [`Table::restore_row`] replays the checkpoint exactly, whether the
+    /// operation succeeded, failed, or never ran.
+    pub fn checkpoint_row(&self, key: &[KeyMatch]) -> RowCheckpoint {
+        let holder = self
+            .index_slot_of(key)
+            .and_then(|(plen, k)| match self.mode {
+                IndexMode::Lpm { .. } => self.lpm_idx.get(&plen)?.get(&k).copied(),
+                _ => self.exact_idx.get(&k).copied(),
+            });
+        // `find_row_by_key`, reusing the slot probe just made.
+        let row = match holder {
+            Some(h) if self.rows[h].as_ref().is_some_and(|e| e.key == key) => Some(h),
+            _ if matches!(self.mode, IndexMode::Exact) => None,
+            _ if matches!(self.mode, IndexMode::Lpm { .. }) && self.lpm_shadowed == 0 => None,
+            _ => self.find_row_by_key(key),
+        }
+        .or_else(|| self.free_rows.peek().map(|r| r.0))
+        .unwrap_or(self.rows.len());
+        let order = match self.mode {
+            IndexMode::Ternary => &self.tern_order[..],
+            IndexMode::Selector => &self.members[..],
+            IndexMode::Exact | IndexMode::Lpm { .. } => &[],
+        };
+        RowCheckpoint {
+            row,
+            prev: self.rows.get(row).cloned().flatten(),
+            rows_len: self.rows.len(),
+            live: self.live,
+            lpm_shadowed: self.lpm_shadowed,
+            holder,
+            order_pos: order.iter().position(|&r| r == row),
+        }
+    }
+
+    /// Rewinds the entry operation `cp` was taken before. Checkpoints of
+    /// several operations must be restored newest first: each one assumes
+    /// the table is exactly as its operation left it.
+    pub fn restore_row(&mut self, cp: RowCheckpoint) {
+        let RowCheckpoint {
+            row,
+            prev,
+            rows_len,
+            live,
+            lpm_shadowed,
+            holder,
+            order_pos,
+        } = cp;
+        // The operation's key is on the row now (insert, replace) or was
+        // (delete); when on neither, the operation changed no index slot.
+        let slot = self
+            .rows
+            .get(row)
+            .and_then(Option::as_ref)
+            .or(prev.as_ref())
+            .and_then(|e| self.index_slot_of(&e.key));
+        let free_now = self.rows.get(row).is_some_and(Option::is_none);
+        let free_before = row < rows_len && prev.is_none();
+        match prev {
+            Some(e) => self.place(row, e),
+            None if row < rows_len => self.rows[row] = None,
+            None => {}
+        }
+        self.rows.truncate(rows_len);
+        self.hit_tags.truncate(rows_len);
+        self.hit_args.truncate(rows_len * self.arg_stride);
+        match (free_before, free_now) {
+            (true, false) => self.free_rows.push(Reverse(row)),
+            (false, true) => self.free_rows.retain(|&Reverse(r)| r != row),
+            _ => {}
+        }
+        self.live = live;
+        self.lpm_shadowed = lpm_shadowed;
+        if let Some((plen, key)) = slot {
+            self.set_index_slot(plen, key, holder);
+        }
+        let order = match self.mode {
+            IndexMode::Ternary => &mut self.tern_order,
+            IndexMode::Selector => &mut self.members,
+            IndexMode::Exact | IndexMode::Lpm { .. } => return,
+        };
+        if let Some(i) = order.iter().position(|&r| r == row) {
+            order.remove(i);
+        }
+        if let Some(i) = order_pos {
+            order.insert(i, row);
         }
     }
 
@@ -741,15 +943,19 @@ impl Table {
     /// per-entry packet counter when the table keeps them.
     fn finish_hit(&mut self, row: usize) -> HitLite {
         self.hits += 1;
-        let with_counters = self.def.with_counters;
-        let entry = self.rows[row].as_mut().expect("row live");
-        let counter = if with_counters {
+        debug_assert!(self.rows[row].is_some(), "indexed row live");
+        let counter = if self.def.with_counters {
+            let entry = self.rows[row].as_mut().expect("row live");
             entry.counter += 1;
             Some(entry.counter)
         } else {
             None
         };
-        HitLite { row, counter }
+        HitLite {
+            row,
+            tag: self.hit_tags[row].0,
+            counter,
+        }
     }
 
     /// Single-field variant of [`Table::match_prepared`]: probes the index
@@ -836,10 +1042,9 @@ impl Table {
             return Ok(None);
         };
         let entry = self.rows[lite.row].as_ref().expect("row live");
-        let tag = self.def.action_tag(&entry.action.action).unwrap_or(0);
         Ok(Some(Hit {
             row: lite.row,
-            tag,
+            tag: lite.tag,
             action: entry.action.clone(),
             counter: lite.counter,
         }))

@@ -80,7 +80,14 @@ impl CostModel {
     /// the CCM does — should price it with [`CostModel::migrate_cost_us`]
     /// so the per-row copy cost is included.
     pub fn msg_cost_us(&self, msg: &ControlMsg) -> f64 {
-        let base = self.per_msg_us + self.per_byte_us * msg.payload_bytes() as f64;
+        self.sized_msg_cost_us(msg, msg.payload_bytes())
+    }
+
+    /// [`CostModel::msg_cost_us`] for a message whose
+    /// [`ControlMsg::payload_bytes`] the caller already has: sizing a
+    /// message serializes it, the dominant cost of pricing an entry write.
+    pub fn sized_msg_cost_us(&self, msg: &ControlMsg, bytes: usize) -> f64 {
+        let base = self.per_msg_us + self.per_byte_us * bytes as f64;
         let extra = match msg {
             ControlMsg::WriteTemplate { .. } | ControlMsg::ClearSlot { .. } => {
                 self.template_write_us

@@ -114,7 +114,7 @@ fn apply_one(
 
 /// Applies a message batch transactionally, returning the cost report.
 ///
-/// Application is sequential; before each message applies, its pre-image is
+/// Application is sequential; before each message applies, its undo is
 /// journaled ([`ApplyJournal`]), so the first failing message rolls the
 /// PM/SM/linkage back to the batch's starting state and the batch reports
 /// [`CoreError::RolledBack`] — `Device::apply` is all-or-nothing, and a
@@ -155,7 +155,7 @@ pub fn apply_msgs_with_faults(
     }
 }
 
-/// The shared apply loop: records every pre-image into the *caller's*
+/// The shared apply loop: records every undo into the *caller's*
 /// journal and applies messages sequentially. On a failing message it
 /// returns `(index, cause)` **without rolling back** — ownership of the
 /// journal (and therefore of the rollback horizon) stays with the caller.
@@ -177,17 +177,18 @@ pub(crate) fn apply_msgs_journaled(
         // MigrateTable is the one message whose cost depends on device
         // state (every live row is copied); price it against the table as
         // it stands *before* this message applies.
+        let bytes = msg.payload_bytes();
         let us = match msg {
             ControlMsg::MigrateTable { table, blocks } => {
                 let live_rows = sm.table(table).map(|s| s.table.len()).unwrap_or_default();
                 cost.per_msg_us
-                    + cost.per_byte_us * msg.payload_bytes() as f64
+                    + cost.per_byte_us * bytes as f64
                     + cost.migrate_cost_us(live_rows, blocks.len())
             }
-            _ => cost.msg_cost_us(msg),
+            _ => cost.sized_msg_cost_us(msg, bytes),
         };
         report.msgs += 1;
-        report.bytes += msg.payload_bytes();
+        report.bytes += bytes;
         report.load_us += us;
         if matches!(msg, ControlMsg::Drain) {
             in_drain = true;
@@ -214,17 +215,18 @@ pub(crate) fn apply_msgs_journaled(
             return Err((index, cause));
         }
     }
-    // Any message beyond plain entry traffic may change what the installed
-    // dataflow facts were proven against (templates, actions, wiring, even
-    // header linkage) — drop them; the controller reinstalls fresh facts
-    // after it finishes its own bookkeeping.
+    // Only a fully-applied *structural* batch opens a new control-plane
+    // epoch. Entry traffic changes rows, whose tag and args the compiled
+    // fast path reads from the table at each hit, so it stays valid;
+    // a rolled-back batch leaves the device byte-identical to its
+    // checkpoint. Any message beyond entry traffic may also change what the
+    // installed dataflow facts were proven against (templates, actions,
+    // wiring, even header linkage) — drop them; the controller reinstalls
+    // fresh facts after it finishes its own bookkeeping.
     if msgs.iter().any(|m| !m.is_entry_op()) {
         pm.clear_facts();
+        pm.invalidate_compiled();
     }
-    // Only a fully-applied batch opens a new control-plane epoch. A rolled-
-    // back batch leaves the device byte-identical to its checkpoint, so the
-    // compiled fast path stays valid and recompiling would be pure waste.
-    pm.invalidate_compiled();
     Ok(report)
 }
 

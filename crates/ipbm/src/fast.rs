@@ -8,14 +8,17 @@
 //! TSP latches its configuration when the control plane writes it.
 //!
 //! [`CompiledPath`] is that latch in software: built once per control-plane
-//! *epoch* (any applied [`ipsa_core::ControlMsg`] batch invalidates it, see
-//! [`crate::pm::PipelineModule::invalidate_compiled`]), it pre-resolves
-//! every name to a dense id or direct index:
+//! *epoch* (any applied structural [`ipsa_core::ControlMsg`] batch
+//! invalidates it, see [`crate::pm::PipelineModule::invalidate_compiled`];
+//! entry add/delete/default batches do not), it pre-resolves every name to
+//! a dense id or direct index:
 //!
 //! * parse requirements become interned [`Sym`]s,
 //! * branch predicates bind header field spans (byte offset + bit span),
-//! * tables become slab indices into the storage module plus per-row tag
-//!   and argument caches,
+//! * tables become slab indices into the storage module; a hit's executor
+//!   tag and action data come from the table's own per-row hit data
+//!   ([`ipsa_core::table::Table::row_args`]), which every entry write keeps
+//!   current — so entry writes leave a compiled path valid,
 //! * crossbar reachability is verified at compile time, so the per-packet
 //!   `can_reach` loop disappears,
 //! * action bodies become [`FastPrim`] sequences with operands pre-bound.
@@ -693,10 +696,6 @@ pub struct CompiledTable {
     pub key: Vec<(FastVal, u128)>,
     /// Pre-computed memory accesses per lookup on the configured bus.
     pub accesses: u64,
-    /// Executor switch tag per row (0 for dead rows).
-    pub row_tags: Vec<u32>,
-    /// Entry action arguments per row (empty for dead rows).
-    pub row_args: Vec<Vec<u128>>,
 }
 
 /// One compiled active slot, in selector order.
@@ -836,23 +835,6 @@ pub fn compile(
                             let ts = sm
                                 .store_at(store)
                                 .ok_or_else(|| CoreError::UnknownTable(name.clone()))?;
-                            let rows = ts.table.rows_len();
-                            let mut row_tags = Vec::with_capacity(rows);
-                            let mut row_args = Vec::with_capacity(rows);
-                            for r in 0..rows {
-                                match ts.table.row(r) {
-                                    Some(e) => {
-                                        row_tags.push(
-                                            ts.table.def.action_tag(&e.action.action).unwrap_or(0),
-                                        );
-                                        row_args.push(e.action.args.clone());
-                                    }
-                                    None => {
-                                        row_tags.push(0);
-                                        row_args.push(Vec::new());
-                                    }
-                                }
-                            }
                             tables.push(CompiledTable {
                                 store,
                                 name: name.clone(),
@@ -869,8 +851,6 @@ pub fn compile(
                                     })
                                     .collect(),
                                 accesses: ts.map.accesses_per_lookup(sm.bus_bits) as u64,
-                                row_tags,
-                                row_args,
                             });
                             Some(tables.len() - 1)
                         }
@@ -992,23 +972,24 @@ impl CompiledPath {
         };
         let hit = store.table.match_prepared(vals, &mut scratch.probe);
 
+        // The lookup's writes (counters) are done; the action only reads the
+        // SM, so the matched row's args can be borrowed in place.
+        let sm: &StorageModule = sm;
         let (call, args, counter) = match hit {
             Some(h) => {
                 stats.hits += 1;
-                // Rows beyond the compiled snapshot (the store grew under
-                // a stale program) act like dead rows: tag 0 dispatches
-                // the default call.
-                let tag = ct.row_tags.get(h.row).copied().unwrap_or(0);
                 let call = cs
                     .executor
                     .iter()
-                    .find(|(t, _)| *t == tag)
+                    .find(|(t, _)| *t == h.tag)
                     .map(|(_, c)| c)
                     .unwrap_or(&cs.default_call);
                 // The matched entry's args win; immediate args from the
                 // executor arm are the fallback.
-                let entry_args: &[u128] = ct.row_args.get(h.row).map_or(&[], Vec::as_slice);
-                let args: &[u128] = if entry_args.is_empty() {
+                let entry_args = sm
+                    .store_at(store_idx)
+                    .map_or(&[][..], |s| s.table.row_args(h.row));
+                let args = if entry_args.is_empty() {
                     &call.args
                 } else {
                     entry_args
@@ -1451,10 +1432,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(stats.hits, 1);
-        // Entry args were snapshotted at compile time (the epoch barrier
-        // re-compiles on table mutation); the fallback's job is matching
-        // through the re-resolved store without panicking.
-        assert_eq!(p.meta.get("nexthop"), 42);
+        // Tag and args are read from the matched row, so the re-created
+        // table's fresh entry is what runs.
+        assert_eq!(p.meta.get("nexthop"), 7);
     }
 
     #[test]

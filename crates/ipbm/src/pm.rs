@@ -375,9 +375,10 @@ impl PipelineModule {
     }
 
     /// Discards the compiled fast path and opens a new control-plane
-    /// epoch. Called whenever a control message batch is applied — any
-    /// message may change names, templates, table contents, or wiring the
-    /// compiled path has pre-resolved.
+    /// epoch. Called whenever a structural control batch is applied — any
+    /// message beyond entry add/delete/default may change names, templates,
+    /// tables, or wiring the compiled path has pre-resolved. Entry batches
+    /// change only rows, which the compiled path reads in place.
     pub fn invalidate_compiled(&mut self) {
         self.compiled = None;
         self.epoch += 1;

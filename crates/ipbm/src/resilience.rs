@@ -9,10 +9,12 @@
 //! runtime the two disciplines production switch OSes use at the
 //! control/data-plane boundary:
 //!
-//! * **Atomicity** — [`ApplyJournal`] records the pre-image of every
-//!   component a control message is about to mutate (lazily, at most once
-//!   per component per batch) and restores them in reverse order on a
-//!   mid-batch failure, making `Device::apply` all-or-nothing.
+//! * **Atomicity** — [`ApplyJournal`] records the undo of every control
+//!   message before it applies and replays the log in reverse order on a
+//!   mid-batch failure, making `Device::apply` all-or-nothing. Its cost is
+//!   proportional to what the batch names, not to what the device holds:
+//!   an entry message journals one row, a structural table message the one
+//!   table it names; only a whole-design load snapshots the whole SM.
 //! * **Isolation** — [`ShardFault`]/[`SupervisorStats`] type the shard
 //!   supervisor's quarantine decisions, replacing the former process-wide
 //!   `panic!` on any worker hang or death.
@@ -29,17 +31,23 @@ use ipsa_core::control::ControlMsg;
 use ipsa_core::crossbar::Crossbar;
 use ipsa_core::error::CoreError;
 use ipsa_core::pipeline_cfg::SelectorConfig;
+use ipsa_core::table::{ActionCall, KeyMatch};
 use ipsa_core::template::TspTemplate;
 use ipsa_netpkt::linkage::HeaderLinkage;
 use serde::Serialize;
 
 use crate::pm::PipelineModule;
-use crate::sm::{StorageModule, TableStore};
+use crate::sm::{EntryUndo, StorageModule, TableImage};
 
-/// One journaled pre-image. Restores run in reverse capture order, so a
-/// whole-SM snapshot taken late in a batch (by a structural message) is
-/// rewound first, then earlier per-table snapshots rewind the entry edits
-/// that preceded it.
+/// One journaled undo record. Records replay in reverse capture order, so
+/// each one finds the device exactly as the message it undoes left it.
+///
+/// The pipeline components and the SM's metadata and action bindings are
+/// whole pre-images, captured at most once per component per journal: the
+/// first capture already holds the starting state. Tables are journaled per
+/// message instead, at the grain of the change ([`EntryUndo`],
+/// [`TableImage`]), so a record is only ever as large as what its message
+/// names.
 enum UndoOp {
     /// Template previously occupying a TSP slot.
     Slot {
@@ -61,28 +69,29 @@ enum UndoOp {
         name: String,
         prev: Option<ActionDef>,
     },
-    /// One table: its software index plus the raw bytes of its backing
-    /// blocks (entry ops never change block *ownership*, only content).
-    Table {
-        idx: usize,
-        store: Box<TableStore>,
-        blocks: Vec<(usize, Vec<u8>)>,
-    },
-    /// The whole storage module, pool included — captured by structural
-    /// messages (create/destroy/migrate) whose block-ownership churn is not
-    /// worth journaling piecemeal.
+    /// The inverse of one `AddEntry`/`DelEntry`: the touched row and its
+    /// byte range in the table's blocks. Kept inline, bytes in the
+    /// journal's log: see [`ipsa_core::table::RowCheckpoint`] for why an
+    /// entry record allocates nothing of its own.
+    Entry(EntryUndo),
+    /// A table's default action before a `SetDefaultAction`.
+    DefaultAction { idx: usize, prev: ActionCall },
+    /// The one table a `CreateTable`/`DestroyTable`/`MigrateTable` names.
+    Table(Box<TableImage>),
+    /// The whole storage module, pool included — captured only by
+    /// `LoadFullDesign`, which replaces all of it.
     SmWhole(Box<StorageModule>),
 }
 
-/// Pre-image journal for one control batch (transactional apply).
+/// Undo journal for one control batch, or for every batch of a staged
+/// transaction (transactional apply).
 ///
-/// `record` is called once per message *before* it applies; each component
-/// is captured at most once per batch — the first capture already holds the
-/// batch-relative starting state, and later mutations of the same component
-/// must roll back to that same point.
+/// `record` is called once per message *before* it applies.
 #[derive(Default)]
 pub(crate) struct ApplyJournal {
     ops: Vec<UndoOp>,
+    /// Block bytes of the rows entry records touch.
+    bytes: Vec<u8>,
     slots: HashSet<usize>,
     selector: bool,
     crossbar: bool,
@@ -90,7 +99,6 @@ pub(crate) struct ApplyJournal {
     linkage: bool,
     metadata: bool,
     actions: HashSet<String>,
-    tables: HashSet<String>,
     sm_whole: bool,
 }
 
@@ -154,25 +162,40 @@ impl ApplyJournal {
         });
     }
 
-    fn capture_table(&mut self, sm: &StorageModule, name: &str) {
-        if self.sm_whole || !self.tables.insert(name.to_string()) {
+    // Table records are per message, not per component: each one undoes
+    // exactly its own message. Once the whole SM is journaled they are
+    // redundant (its restore runs after theirs and overwrites them).
+
+    fn capture_image(&mut self, sm: &StorageModule, name: &str, blocks: &[usize]) {
+        if !self.sm_whole {
+            self.ops
+                .push(UndoOp::Table(Box::new(sm.table_image(name, blocks))));
+        }
+    }
+
+    fn capture_entry(&mut self, sm: &StorageModule, table: &str, key: &[KeyMatch]) {
+        if self.sm_whole {
             return;
         }
-        let (Some(idx), Some(store)) = (sm.table_idx(name), sm.table(name)) else {
-            // Unknown table: the message will fail without mutating.
+        // Unknown table: the message will fail without mutating.
+        if let Some(undo) = sm.entry_undo(table, key, &mut self.bytes) {
+            self.ops.push(UndoOp::Entry(undo));
+        }
+    }
+
+    fn capture_default_action(&mut self, sm: &StorageModule, table: &str) {
+        if self.sm_whole {
+            return;
+        }
+        let Some(idx) = sm.table_idx(table) else {
             return;
         };
-        let blocks = store
-            .map
-            .block_ids
-            .iter()
-            .map(|&b| (b, sm.pool.block_data(b).unwrap_or_default().to_vec()))
-            .collect();
-        self.ops.push(UndoOp::Table {
-            idx,
-            store: Box::new(store.clone()),
-            blocks,
-        });
+        if let Some(store) = sm.store_at(idx) {
+            self.ops.push(UndoOp::DefaultAction {
+                idx,
+                prev: store.table.def.default_action.clone(),
+            });
+        }
     }
 
     fn capture_sm_whole(&mut self, sm: &StorageModule) {
@@ -182,7 +205,7 @@ impl ApplyJournal {
         }
     }
 
-    /// Journals the pre-image of everything `msg` may mutate. Must run
+    /// Journals the undo of everything `msg` may mutate. Must run
     /// immediately before the message applies.
     pub(crate) fn record(
         &mut self,
@@ -206,12 +229,12 @@ impl ApplyJournal {
             ControlMsg::DefineAction(def) => self.capture_action(sm, &def.name),
             ControlMsg::RemoveAction(name) => self.capture_action(sm, name),
             ControlMsg::DefineMetadata(_) => self.capture_metadata(sm),
-            ControlMsg::CreateTable { .. }
-            | ControlMsg::DestroyTable(_)
-            | ControlMsg::MigrateTable { .. } => self.capture_sm_whole(sm),
-            ControlMsg::AddEntry { table, .. }
-            | ControlMsg::DelEntry { table, .. }
-            | ControlMsg::SetDefaultAction { table, .. } => self.capture_table(sm, table),
+            ControlMsg::CreateTable { def, blocks } => self.capture_image(sm, &def.name, blocks),
+            ControlMsg::DestroyTable(table) => self.capture_image(sm, table, &[]),
+            ControlMsg::MigrateTable { table, blocks } => self.capture_image(sm, table, blocks),
+            ControlMsg::AddEntry { table, entry } => self.capture_entry(sm, table, &entry.key),
+            ControlMsg::DelEntry { table, key } => self.capture_entry(sm, table, key),
+            ControlMsg::SetDefaultAction { table, .. } => self.capture_default_action(sm, table),
             ControlMsg::LoadFullDesign(_) => {
                 // A whole-design swap touches everything.
                 for slot in 0..pm.slot_count() {
@@ -226,8 +249,8 @@ impl ApplyJournal {
         }
     }
 
-    /// Restores every captured pre-image, newest first, returning the
-    /// PM/SM/linkage to the batch's starting state.
+    /// Replays every undo record, newest first, returning the PM/SM/linkage
+    /// to the journal's starting state.
     pub(crate) fn rollback(
         self,
         pm: &mut PipelineModule,
@@ -254,9 +277,13 @@ impl ApplyJournal {
                         sm.actions.remove(&name);
                     }
                 },
-                UndoOp::Table { idx, store, blocks } => {
-                    sm.restore_table_checkpoint(idx, *store, &blocks);
+                UndoOp::Entry(undo) => sm.undo_entry(undo, &self.bytes),
+                UndoOp::DefaultAction { idx, prev } => {
+                    if let Some(store) = sm.store_at_mut(idx) {
+                        store.table.def.default_action = prev;
+                    }
                 }
+                UndoOp::Table(image) => sm.restore_table_image(*image),
                 UndoOp::SmWhole(prev) => *sm = *prev,
             }
         }

@@ -20,9 +20,11 @@
 //! * **Epoch barrier** — control batches go through
 //!   [`Device::apply`]: quiesce every shard (bounded drain with a timeout),
 //!   apply the `ControlMsg` batch once against the master SM/CCM state,
-//!   recompile, and publish the new `Arc<CompiledPath>` + SM snapshot to
-//!   all shards (RCU-style: workers swap atomically between packets, they
-//!   never observe a half-applied batch). Mid-stream rP4 updates therefore
+//!   recompile if the batch opened a new epoch (entry-only batches do not,
+//!   and the published `Arc<CompiledPath>` is reused), and publish the
+//!   `Arc<CompiledPath>` + SM snapshot to all shards (RCU-style: workers
+//!   swap atomically between packets, they never observe a half-applied
+//!   batch). Mid-stream rP4 updates therefore
 //!   stay hitless: packets arriving during the barrier wait in the CM's RX
 //!   rings and are processed under the *new* epoch, none are lost or run
 //!   against stale state.
@@ -251,6 +253,9 @@ pub struct ShardedSwitch {
     /// Compilation failed for the current epoch: the master's interpreter
     /// carries the traffic until a later epoch compiles again.
     fallback: bool,
+    /// The compiled path last published, reused while the master's epoch
+    /// has not moved (entry-only batches keep it valid).
+    published: Option<Arc<CompiledPath>>,
     /// Cumulative per-shard busy time, ns.
     busy_ns: Vec<u64>,
     /// Log2 distribution of per-batch busy-time samples, folded at
@@ -403,6 +408,7 @@ impl ShardedSwitch {
             scaling: ScaleStats::default(),
             dirty: true,
             fallback: false,
+            published: None,
             busy_ns: vec![0; shards],
             busy_hist: BusyHistogram::default(),
             barrier: 0,
@@ -656,19 +662,26 @@ impl ShardedSwitch {
         }
     }
 
-    /// Recompiles the master's current epoch and publishes it to every
-    /// live shard, respawning quarantined workers first (recovery happens
-    /// at the epoch publish, so a killed shard is back within two epochs).
-    /// On compile failure the master interpreter takes over until a later
-    /// epoch compiles (the single-core switch falls back the same way), so
-    /// a broken program degrades throughput, not correctness.
+    /// Publishes the master's current epoch to every live shard, respawning
+    /// quarantined workers first (recovery happens at the epoch publish, so
+    /// a killed shard is back within two epochs). The compiled path is
+    /// rebuilt only when the epoch moved since the last publish; the SM
+    /// snapshot always ships. On compile failure the master interpreter
+    /// takes over until a later epoch compiles (the single-core switch falls
+    /// back the same way), so a broken program degrades throughput, not
+    /// correctness.
     fn republish(&mut self) {
         self.reconcile_workers();
         let pm = &self.master.pm;
-        let poisoned = self.faults.poison_compile_at_epoch == Some(pm.epoch());
-        let compiled = if poisoned {
-            None
-        } else {
+        let reusable = self
+            .published
+            .as_ref()
+            .filter(|cp| cp.epoch == pm.epoch())
+            .cloned();
+        let compiled = reusable.or_else(|| {
+            if self.faults.poison_compile_at_epoch == Some(pm.epoch()) {
+                return None;
+            }
             fast::compile(
                 &pm.slots,
                 &pm.selector,
@@ -679,10 +692,11 @@ impl ShardedSwitch {
                 pm.facts(),
             )
             .ok()
-        };
+            .map(Arc::new)
+        });
+        self.published.clone_from(&compiled);
         match compiled {
-            Some(cp) => {
-                let compiled = Arc::new(cp);
+            Some(compiled) => {
                 let linkage = Arc::new(self.master.linkage.clone());
                 let mut dead: Vec<usize> = Vec::new();
                 for shard in 0..self.workers.len() {

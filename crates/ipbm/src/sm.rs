@@ -5,14 +5,23 @@
 //! action definitions, and the installed tables. Every table is doubly
 //! represented: a software index ([`ipsa_core::table::Table`]) for lookup
 //! speed, and the authoritative serialized rows inside the pool blocks —
-//! the SM keeps the two in sync on every entry operation.
+//! the SM keeps the two in sync on every entry operation. The compiled
+//! fast path keeps no per-row state of its own: a hit's tag and action
+//! data come from the index, which entry operations keep current, so they
+//! leave a compiled path valid.
+//!
+//! Undo for the transactional journal ([`crate::resilience`]) is taken at
+//! the same grain as the change: an [`EntryUndo`] holds one row's
+//! checkpoint and block bytes, a [`TableImage`] holds the one table a
+//! structural message names.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use ipsa_core::action::ActionDef;
 use ipsa_core::error::CoreError;
 use ipsa_core::memory::{blocks_needed, serialize_entry, BlockKind, MemoryPool, TableBlockMap};
-use ipsa_core::table::{Hit, KeyMatch, Table, TableDef, TableEntry};
+use ipsa_core::table::{Hit, KeyMatch, RowCheckpoint, Table, TableDef, TableEntry};
 use ipsa_core::value::EvalCtx;
 use ipsa_netpkt::packet::Packet;
 
@@ -23,6 +32,28 @@ pub struct TableStore {
     pub table: Table,
     /// Row → block mapping in the pool.
     pub map: TableBlockMap,
+}
+
+/// The exact inverse of one entry operation (`AddEntry`/`DelEntry`): the
+/// table's [`RowCheckpoint`] for the key plus where the bytes that row held
+/// in its blocks sit in the journal's byte log.
+#[derive(Debug)]
+pub(crate) struct EntryUndo {
+    idx: usize,
+    row: RowCheckpoint,
+    bytes: Option<Range<usize>>,
+}
+
+/// Everything a structural message (create/destroy/migrate) can change for
+/// the one table it names: the slab slot and store the name resolved to
+/// (or none, when the name is free), the slab length (a create may push),
+/// and the owner and bytes of every block the message may touch.
+#[derive(Debug)]
+pub(crate) struct TableImage {
+    name: String,
+    slot: Option<(usize, TableStore)>,
+    slab_len: usize,
+    blocks: Vec<(usize, Option<String>, Vec<u8>)>,
 }
 
 /// The storage module.
@@ -221,8 +252,8 @@ impl StorageModule {
             .index
             .get(table)
             .ok_or_else(|| CoreError::UnknownTable(table.to_string()))?;
-        let action_name = entry.action.action.clone();
-        let Some(adef) = self.actions.get(&action_name) else {
+        let action_name = &entry.action.action;
+        let Some(adef) = self.actions.get(action_name) else {
             return Err(CoreError::UnknownAction(format!(
                 "{action_name}: not defined, required by entry for table {table}"
             )));
@@ -230,11 +261,11 @@ impl StorageModule {
         // Param widths of the entry's action, for serialization.
         let param_bits: Vec<usize> = adef.params.iter().map(|(_, b)| *b).collect();
         let store = self.stores[idx].as_mut().expect("indexed store live");
-        let tag = match store.table.def.action_tag(&action_name) {
+        let tag = match store.table.def.action_tag(action_name) {
             Some(t) => t,
             // Tag 0 is reserved for the default (miss) action; an entry may
             // name it explicitly even when it is not in the action list.
-            None if action_name == store.table.def.default_action.action => 0,
+            None if *action_name == store.table.def.default_action.action => 0,
             None => {
                 return Err(CoreError::UnknownAction(format!(
                     "{action_name}: not offered by table {table}"
@@ -242,8 +273,8 @@ impl StorageModule {
             }
         };
         let row = store.table.insert(entry)?;
-        let e = store.table.row(row).expect("just inserted").clone();
-        let bytes = serialize_entry(&store.table.def, &param_bits, tag, &e)?;
+        let e = store.table.row(row).expect("just inserted");
+        let bytes = serialize_entry(&store.table.def, &param_bits, tag, e)?;
         store.map.write_row(&mut self.pool, row, &bytes)?;
         Ok(row)
     }
@@ -256,8 +287,7 @@ impl StorageModule {
             .ok_or_else(|| CoreError::UnknownTable(table.to_string()))?;
         let store = self.stores[idx].as_mut().expect("indexed store live");
         let row = store.table.delete(key)?;
-        let zero = vec![0u8; store.map.entry_bits.div_ceil(8)];
-        store.map.write_row(&mut self.pool, row, &zero)?;
+        store.map.clear_row(&mut self.pool, row)?;
         Ok(row)
     }
 
@@ -356,26 +386,90 @@ impl StorageModule {
         store.table.lookup(pkt, ctx)
     }
 
-    /// Restores one table from a transactional-apply pre-image: the store
-    /// goes back into its slab slot and the backing blocks get their
-    /// journaled bytes back. Entry operations never change block
-    /// *ownership*, so content restoration is sufficient; structural
-    /// operations journal the whole SM instead.
-    pub(crate) fn restore_table_checkpoint(
-        &mut self,
-        idx: usize,
-        store: TableStore,
-        blocks: &[(usize, Vec<u8>)],
-    ) {
-        let name = store.table.def.name.clone();
-        let Some(slot) = self.stores.get_mut(idx) else {
-            debug_assert!(false, "rollback of `{name}`: slab index {idx} vanished");
+    /// Journals what an `AddEntry`/`DelEntry` of `key` on `table` is about
+    /// to change, appending the row's block bytes to `log`. `None` when the
+    /// table is unknown: the message then fails without mutating anything.
+    pub(crate) fn entry_undo(
+        &self,
+        table: &str,
+        key: &[KeyMatch],
+        log: &mut Vec<u8>,
+    ) -> Option<EntryUndo> {
+        let idx = self.table_idx(table)?;
+        let store = self.store_at(idx)?;
+        let row = store.table.checkpoint_row(key);
+        let start = log.len();
+        let bytes = store
+            .map
+            .read_row_into(&self.pool, row.row(), log)
+            .ok()
+            .map(|()| start..log.len());
+        Some(EntryUndo { idx, row, bytes })
+    }
+
+    /// Rewinds one entry operation; `log` is the byte log `entry_undo`
+    /// appended to. Undo records restore newest first.
+    pub(crate) fn undo_entry(&mut self, undo: EntryUndo, log: &[u8]) {
+        let EntryUndo { idx, row, bytes } = undo;
+        let Some(store) = self.stores.get_mut(idx).and_then(Option::as_mut) else {
+            debug_assert!(false, "entry rollback: slab index {idx} vanished");
             return;
         };
-        *slot = Some(store);
-        self.index.insert(name, idx);
-        for (b, bytes) in blocks {
-            let r = self.pool.restore_block_data(*b, bytes);
+        let r = row.row();
+        store.table.restore_row(row);
+        if let Some(bytes) = bytes {
+            let w = store.map.write_row(&mut self.pool, r, &log[bytes]);
+            debug_assert!(w.is_ok(), "entry rollback row write failed: {w:?}");
+        }
+    }
+
+    /// Journals what a structural message naming `name` can change:
+    /// `blocks` are the blocks the message allocates, beside those `name`
+    /// already owns.
+    pub(crate) fn table_image(&self, name: &str, blocks: &[usize]) -> TableImage {
+        let slot = self
+            .table_idx(name)
+            .and_then(|i| Some((i, self.store_at(i)?.clone())));
+        let mut ids = self.pool.owned_by(name);
+        ids.extend_from_slice(blocks);
+        ids.sort_unstable();
+        ids.dedup();
+        let blocks = ids
+            .into_iter()
+            .filter_map(|id| {
+                let b = self.pool.block(id)?;
+                Some((id, b.owner.clone(), self.pool.block_data(id)?.to_vec()))
+            })
+            .collect();
+        TableImage {
+            name: name.to_string(),
+            slot,
+            slab_len: self.stores.len(),
+            blocks,
+        }
+    }
+
+    /// Puts a [`TableImage`] back: whatever slot the name holds now is
+    /// vacated, slots a create pushed are dropped, the captured store goes
+    /// back into its own slot, and the blocks get their owners and bytes
+    /// back.
+    pub(crate) fn restore_table_image(&mut self, image: TableImage) {
+        let TableImage {
+            name,
+            slot,
+            slab_len,
+            blocks,
+        } = image;
+        if let Some(j) = self.index.remove(&name) {
+            self.stores[j] = None;
+        }
+        self.stores.truncate(slab_len);
+        if let Some((i, store)) = slot {
+            self.stores[i] = Some(store);
+            self.index.insert(name, i);
+        }
+        for (id, owner, bytes) in blocks {
+            let r = self.pool.restore_block(id, owner, &bytes);
             debug_assert!(r.is_ok(), "rollback block restore failed: {r:?}");
         }
     }

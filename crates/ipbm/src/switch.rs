@@ -20,7 +20,7 @@ use crate::sm::StorageModule;
 use crate::tsp::SlotStats;
 
 /// An open staged control-plane transaction: one [`ApplyJournal`]
-/// accumulating pre-images across every batch applied since
+/// accumulating undo records across every batch applied since
 /// [`IpbmSwitch::begin_staged`], plus the dataflow facts installed at that
 /// point (structural batches clear facts as they apply; a revert must put
 /// them back so the device is observably unchanged).
@@ -184,9 +184,9 @@ impl IpbmSwitch {
     }
 
     /// Opens a staged control-plane transaction. Every subsequent
-    /// [`Device::apply`] batch journals its pre-images into one shared
-    /// [`ApplyJournal`] (each component captured at most once, at its
-    /// earliest touch), so [`IpbmSwitch::revert_staged`] rewinds *all*
+    /// [`Device::apply`] batch journals its undo records into one shared
+    /// [`ApplyJournal`] (the same log a single batch uses), so
+    /// [`IpbmSwitch::revert_staged`] rewinds *all*
     /// batches applied since this call byte-identically — the device half
     /// of a fleet-wide two-phase rollout. A batch that fails mid-apply
     /// aborts the whole transaction (the journal is replayed immediately
@@ -231,8 +231,8 @@ impl IpbmSwitch {
         }
     }
 
-    /// Reverts the open staged transaction: every pre-image captured since
-    /// [`IpbmSwitch::begin_staged`] is restored newest-first, the facts
+    /// Reverts the open staged transaction: every undo record captured since
+    /// [`IpbmSwitch::begin_staged`] is replayed newest-first, the facts
     /// installed at open time are reinstated, and a new control-plane epoch
     /// opens (the reverted state must recompile and republish). The device
     /// is left byte-identical to the moment the transaction opened. Errors
@@ -331,7 +331,7 @@ impl Device for IpbmSwitch {
                 self.faults.as_ref(),
             );
         };
-        // Staged mode: pre-images accumulate in the transaction's journal.
+        // Staged mode: undo records accumulate in the transaction's journal.
         // A mid-batch failure aborts the *whole* transaction — the journal
         // rewinds every batch applied since `begin_staged`, not just this
         // one, and the facts installed at open time come back with it.
@@ -637,39 +637,105 @@ mod tests {
         assert_eq!(sw.report().pipeline.error_drops, 4);
     }
 
-    #[test]
-    fn control_write_invalidates_compiled_path() {
-        let mut sw = minimal_switch();
-        sw.inject(ipv4_udp_packet(&Ipv4UdpSpec {
-            dst_ip: 0x0a010101,
-            ..Default::default()
-        }));
-        sw.run_batch();
-        assert!(sw.pm.has_compiled());
-        let epoch = sw.pm.epoch();
-        sw.apply(&[ControlMsg::AddEntry {
+    fn route(prefix: u128, port: u128) -> ControlMsg {
+        ControlMsg::AddEntry {
             table: "route".into(),
             entry: TableEntry {
                 key: vec![ipsa_core::table::KeyMatch::Lpm {
-                    value: 0x0b000000,
+                    value: prefix,
                     prefix_len: 8,
                 }],
                 priority: 0,
-                action: ActionCall::new("fwd", vec![7]),
+                action: ActionCall::new("fwd", vec![port]),
                 counter: 0,
             },
-        }])
+        }
+    }
+
+    /// Egress ports (sorted) of one packet per destination, drained by
+    /// `drain` (`run_batch`: compiled path; `run`: interpreter).
+    fn egress_via(
+        sw: &mut IpbmSwitch,
+        dsts: &[u32],
+        drain: fn(&mut IpbmSwitch) -> Vec<Packet>,
+    ) -> Vec<Option<u16>> {
+        for &dst_ip in dsts {
+            sw.inject(ipv4_udp_packet(&Ipv4UdpSpec {
+                dst_ip,
+                ..Default::default()
+            }));
+        }
+        let mut out: Vec<_> = drain(sw).iter().map(|p| p.meta.egress_port).collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn egress_of(sw: &mut IpbmSwitch, dsts: &[u32]) -> Vec<Option<u16>> {
+        egress_via(sw, dsts, IpbmSwitch::run_batch)
+    }
+
+    /// Entry writes open no epoch: the compiled path survives an add, a
+    /// replace, a delete and a default-action change, and the next burst
+    /// on it sees every one of them.
+    #[test]
+    fn entry_batch_keeps_compiled_path() {
+        let mut sw = minimal_switch();
+        assert_eq!(egress_of(&mut sw, &[0x0a01_0101]), vec![Some(4)]);
+        assert!(sw.pm.has_compiled());
+        let epoch = sw.pm.epoch();
+        sw.apply(&[
+            route(0x0b00_0000, 7),
+            route(0x0a00_0000, 5),
+            route(0x0c00_0000, 6),
+            ControlMsg::DelEntry {
+                table: "route".into(),
+                key: vec![ipsa_core::table::KeyMatch::Lpm {
+                    value: 0x0c00_0000,
+                    prefix_len: 8,
+                }],
+            },
+            ControlMsg::SetDefaultAction {
+                table: "route".into(),
+                action: ActionCall::new("fwd", vec![9]),
+            },
+        ])
         .unwrap();
+        assert!(sw.pm.has_compiled(), "entry batch must keep the path");
+        assert_eq!(sw.pm.epoch(), epoch, "entry batch must open no epoch");
+        assert_eq!(
+            sw.sm.table("route").unwrap().table.def.default_action,
+            ActionCall::new("fwd", vec![9])
+        );
+        let dsts = [0x0a01_0101, 0x0b01_0101, 0x0c01_0101];
+        // Replace (10/8 → 5) and add (11/8 → 7) are seen; the deleted
+        // 12/8 misses and is dropped.
+        let fast = egress_of(&mut sw, &dsts);
+        assert!(sw.pm.has_compiled());
+        assert_eq!(fast, vec![Some(5), Some(7)]);
+        assert_eq!(
+            egress_via(&mut sw, &dsts, IpbmSwitch::run),
+            fast,
+            "interpreter"
+        );
+    }
+
+    /// Anything beyond entry traffic still opens an epoch and drops the
+    /// compiled path; the rebuilt one forwards as before.
+    #[test]
+    fn structural_batch_invalidates_compiled_path() {
+        let mut sw = minimal_switch();
+        assert_eq!(egress_of(&mut sw, &[0x0a01_0101]), vec![Some(4)]);
+        assert!(sw.pm.has_compiled());
+        let epoch = sw.pm.epoch();
+        sw.apply(&[ControlMsg::Drain, route(0x0b00_0000, 7), ControlMsg::Resume])
+            .unwrap();
         assert!(!sw.pm.has_compiled());
         assert!(sw.pm.epoch() > epoch);
-        // The rebuilt path sees the new route.
-        sw.inject(ipv4_udp_packet(&Ipv4UdpSpec {
-            dst_ip: 0x0b010101,
-            ..Default::default()
-        }));
-        let out = sw.run_batch();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].meta.egress_port, Some(7));
+        assert_eq!(
+            egress_of(&mut sw, &[0x0a01_0101, 0x0b01_0101]),
+            vec![Some(4), Some(7)]
+        );
+        assert!(sw.pm.has_compiled());
     }
 
     #[test]

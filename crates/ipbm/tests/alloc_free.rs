@@ -9,8 +9,7 @@
 //! point of the compiled path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use ipbm::{IpbmConfig, IpbmSwitch};
 use ipsa_core::action::{ActionDef, Primitive};
@@ -24,11 +23,25 @@ use ipsa_netpkt::builder::{ipv4_udp_packet, Ipv4UdpSpec};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per thread, so neither a
+    /// concurrently running test nor the harness reporting a finished one
+    /// can bleed into a measured window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn count() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -37,18 +50,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The counter is process-global, so the two measuring tests must not run
-/// concurrently: one test's setup allocations would bleed into the other's
-/// measured window.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// A realistic L3 stage: parse ipv4, LPM-match the destination, then set a
 /// nexthop metadata field, decrement the TTL (incremental checksum — the
@@ -130,7 +138,6 @@ fn l3_switch() -> IpbmSwitch {
 
 #[test]
 fn steady_state_fast_path_does_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut sw = l3_switch();
 
     // Packets are built before measurement (construction legitimately
@@ -157,9 +164,9 @@ fn steady_state_fast_path_does_not_allocate() {
     out.clear();
 
     inject_batch(&mut sw);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let emitted = sw.run_batch_into(&mut out);
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
 
     assert_eq!(emitted, 256);
     assert_eq!(
@@ -170,6 +177,76 @@ fn steady_state_fast_path_does_not_allocate() {
     assert_eq!(sw.pm.stats.emitted, 2 * 256);
 }
 
+fn fib_entry(prefix: u128, nh: u128) -> ControlMsg {
+    ControlMsg::AddEntry {
+        table: "fib".into(),
+        entry: TableEntry {
+            key: vec![KeyMatch::Lpm {
+                value: prefix,
+                prefix_len: 8,
+            }],
+            priority: 0,
+            action: ActionCall::new("route", vec![nh, 4]),
+            counter: 0,
+        },
+    }
+}
+
+/// Entry writes keep the compiled path: after an entry batch (add,
+/// replace, delete) the next burst recompiles nothing, so it allocates
+/// nothing either — and it already runs on the new entries.
+#[test]
+fn entry_batch_then_burst_does_not_allocate() {
+    let mut sw = l3_switch();
+    let inject_batch = |sw: &mut IpbmSwitch| {
+        for i in 0..256u32 {
+            sw.inject(ipv4_udp_packet(&Ipv4UdpSpec {
+                dst_ip: if i % 2 == 0 { 0x0a01_0101 } else { 0x0b01_0101 },
+                ..Default::default()
+            }));
+        }
+    };
+    let mut out = Vec::new();
+    sw.apply(&[fib_entry(0x0b00_0000, 5)]).unwrap();
+    inject_batch(&mut sw);
+    assert_eq!(sw.run_batch_into(&mut out), 256, "warm-up must forward");
+    assert!(sw.pm.has_compiled());
+    out.clear();
+
+    sw.apply(&[
+        fib_entry(0x0a00_0000, 7),
+        fib_entry(0x0b00_0000, 8),
+        fib_entry(0x0c00_0000, 9),
+        ControlMsg::DelEntry {
+            table: "fib".into(),
+            key: vec![KeyMatch::Lpm {
+                value: 0x0c00_0000,
+                prefix_len: 8,
+            }],
+        },
+    ])
+    .unwrap();
+    assert!(
+        sw.pm.has_compiled(),
+        "an entry batch must not drop the path"
+    );
+
+    inject_batch(&mut sw);
+    let before = allocs();
+    let emitted = sw.run_batch_into(&mut out);
+    let delta = allocs() - before;
+
+    assert_eq!(emitted, 256);
+    assert_eq!(
+        delta, 0,
+        "burst after an entry batch performed {delta} heap allocations over 256 packets"
+    );
+    let mut nexthops: Vec<u128> = out.iter().map(|p| p.meta.get("nexthop")).collect();
+    nexthops.sort_unstable();
+    nexthops.dedup();
+    assert_eq!(nexthops, vec![7, 8], "the burst ran on the new entries");
+}
+
 /// The acceptance criterion for the recycling packet arena: with output
 /// packets recycled back into the arena, the ENTIRE
 /// inject→process→collect loop — CM rings, burst buffers, compiled fast
@@ -177,7 +254,6 @@ fn steady_state_fast_path_does_not_allocate() {
 /// not just the eval inner loop the other tests pin.
 #[test]
 fn steady_state_full_loop_does_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     use ipsa_netpkt::arena::PacketArena;
 
     let mut sw = l3_switch();
@@ -202,7 +278,7 @@ fn steady_state_full_loop_does_not_allocate() {
         arena.recycle_all(&mut out);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut emitted = 0usize;
     for _ in 0..8 {
         for _ in 0..ROUND {
@@ -212,7 +288,7 @@ fn steady_state_full_loop_does_not_allocate() {
         emitted += sw.run_batch_into(&mut out);
         arena.recycle_all(&mut out);
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
 
     assert_eq!(emitted, 8 * ROUND);
     assert_eq!(
@@ -232,7 +308,6 @@ fn steady_state_full_loop_does_not_allocate() {
 /// barrier replies allocate per *batch*; this pins the per-*packet* cost.)
 #[test]
 fn shard_worker_inner_loop_does_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     use ipbm::fast::{compile, EvalScratch, SlotStatsMut};
     use ipbm::pm::{PipelineStats, TrafficManager, TM_QUEUE_CAPACITY};
     use ipbm::tsp::SlotStats;
@@ -277,7 +352,7 @@ fn shard_worker_inner_loop_does_not_allocate() {
     }
 
     let batch: Vec<_> = (0..256).map(|_| ipv4_udp_packet(&spec)).collect();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut emitted = 0u32;
     for pkt in batch {
         if compiled
@@ -296,7 +371,7 @@ fn shard_worker_inner_loop_does_not_allocate() {
             emitted += 1;
         }
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
 
     assert_eq!(emitted, 256);
     assert_eq!(

@@ -366,19 +366,24 @@ fn poisoned_compile_falls_back_then_recompiles() {
             "interpreter fallback is lossless"
         );
 
-        // Any control batch opens a new (unpoisoned) epoch.
-        sw.apply(&[ControlMsg::AddEntry {
-            table: "route".into(),
-            entry: TableEntry {
-                key: vec![KeyMatch::Lpm {
-                    value: 0x0b00_0000,
-                    prefix_len: 8,
-                }],
-                priority: 0,
-                action: ActionCall::new("fwd", vec![5]),
-                counter: 0,
+        // A structural control batch opens a new (unpoisoned) epoch; entry
+        // writes alone keep the epoch, and with it the poisoned compile.
+        sw.apply(&[
+            ControlMsg::Drain,
+            ControlMsg::AddEntry {
+                table: "route".into(),
+                entry: TableEntry {
+                    key: vec![KeyMatch::Lpm {
+                        value: 0x0b00_0000,
+                        prefix_len: 8,
+                    }],
+                    priority: 0,
+                    action: ActionCall::new("fwd", vec![5]),
+                    counter: 0,
+                },
             },
-        }])
+            ControlMsg::Resume,
+        ])
         .unwrap();
         let injected2 = inject_sequenced(&mut sw, flows, 4, 4);
         let out2 = sw.run_batch();
