@@ -170,17 +170,8 @@ fn cmd_check(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
     let env = rp4_lang::check(&checked, None)
         .map_err(|errs| format!("{} error(s) in the absorbed design", errs.len()))?;
     let target = target_of(flags)?;
-    let limits = rp4c::verify_limits(&target);
-    let mut diags = rp4_verify::verify_program(&checked, &env, &limits);
-    let (tables, actions) = rp4c::lower_registries(&env, &checked).map_err(|e| e.to_string())?;
-    diags.extend(rp4_verify::verify_pool(
-        &tables,
-        &actions,
-        &limits,
-        Some(&checked.spans),
-    ));
-    let dfa = rp4_dfa::analyze_program(&checked, &env);
-    diags.extend(rp4_dfa::merge_findings(&diags, dfa));
+    let registries = rp4c::lower_registries(&env, &checked).map_err(|e| e.to_string())?;
+    let mut diags = rp4c::lint_program(&checked, &env, &registries, &target);
 
     // Phases 3/4 (--equiv, --cover) both run over the compiled design;
     // compile once, only when requested and the program is error-free.

@@ -314,6 +314,8 @@ pub fn cover_design(
                                 .get(ItemKind::Action, action)
                                 .or_else(|| p.spans.get(ItemKind::Table, table))
                         }))
+                        .with_key(ItemKind::Action, action)
+                        .with_key(ItemKind::Table, table)
                         .with_note(
                             "every world where the table could hit this action is pruned as infeasible or unreachable",
                         ),

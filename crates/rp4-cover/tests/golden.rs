@@ -85,7 +85,8 @@ fn dead_action_dedups_against_unreachable_arm() {
     // arm); after `merge_findings` only the dataflow finding survives.
     let prog = rp4_lang::parse(DEAD_ACTION).expect("fixture parses");
     let env = rp4_lang::check(&prog, None).expect("fixture checks");
-    let dfa = rp4_dfa::analyze_program(&prog, &env);
+    let registries = rp4c::lower_registries(&env, &prog).expect("fixture lowers");
+    let dfa = rp4c::lint_program(&prog, &env, &registries, &rp4c::CompilerTarget::ipbm());
     assert!(dfa.iter().any(|d| d.code == "RP4304"));
     let cov = cover(DEAD_ACTION, &CoverOptions::default());
     let merged = rp4_dfa::merge_findings(&dfa, cov.diags.clone());

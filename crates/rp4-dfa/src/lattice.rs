@@ -1,38 +1,11 @@
-//! The abstract domains the fixpoint engine runs over.
+//! The abstract domains of the dataflow pass.
 //!
 //! Each domain is a join-semilattice: `join` is the least upper bound used
-//! when control-flow paths merge, and `⊤` means "the analysis knows
-//! nothing". All transfer functions in this crate only ever move values
-//! *up* these lattices, so the worklist iteration terminates.
+//! when a stage's possibly-run actions merge, and `⊤` means "the analysis
+//! knows nothing". All transfer functions in this crate only ever move
+//! values *up* these lattices.
 
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A join-semilattice: values merge at control-flow joins via `join`.
-pub trait Lattice: Clone + PartialEq {
-    /// Least upper bound of `self` and `other`.
-    fn join(&self, other: &Self) -> Self;
-}
-
-/// Three-valued header-validity abstraction at a program point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Validity {
-    /// The header is valid (parsed and not removed) on every path.
-    Valid,
-    /// The header is invalid (never parsed, or removed) on every path.
-    Invalid,
-    /// Paths disagree, or nothing is known.
-    Top,
-}
-
-impl Lattice for Validity {
-    fn join(&self, other: &Self) -> Self {
-        if self == other {
-            *self
-        } else {
-            Validity::Top
-        }
-    }
-}
 
 /// An unsigned interval `[lo, hi]` over a field's value space.
 ///
@@ -59,6 +32,14 @@ impl Interval {
         Interval {
             lo: 0,
             hi: max_value(bits),
+        }
+    }
+
+    /// Least upper bound: the hull of both intervals.
+    pub fn join(&self, other: &Self) -> Self {
+        Interval {
+            lo: self.lo.min(other.lo),
+            hi: self.hi.max(other.hi),
         }
     }
 
@@ -133,16 +114,7 @@ pub fn max_value(bits: usize) -> u128 {
     }
 }
 
-impl Lattice for Interval {
-    fn join(&self, other: &Self) -> Self {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-}
-
-/// The product state threaded through the stage CFG by `program.rs`.
+/// The product state threaded down the stage chain by `program.rs`.
 ///
 /// Missing map keys carry the *initial* abstract value, not ⊥: metadata is
 /// zero-initialized at packet entry, so an absent interval means `[0,0]`
@@ -165,46 +137,28 @@ impl AbsState {
             .copied()
             .unwrap_or(Interval::constant(0))
     }
-}
 
-impl Lattice for AbsState {
-    fn join(&self, other: &Self) -> Self {
-        let mut out = AbsState {
-            may_removed: self
-                .may_removed
-                .union(&other.may_removed)
-                .cloned()
-                .collect(),
-            may_written: self
-                .may_written
-                .union(&other.may_written)
-                .cloned()
-                .collect(),
-            intervals: BTreeMap::new(),
-        };
-        let keys: BTreeSet<&String> = self
+    /// Least upper bound: set unions and per-field interval hulls.
+    pub fn join(&self, other: &Self) -> Self {
+        let fields: BTreeSet<&String> = self
             .intervals
             .keys()
             .chain(other.intervals.keys())
             .collect();
-        for k in keys {
-            out.intervals
-                .insert(k.clone(), self.interval_of(k).join(&other.interval_of(k)));
+        AbsState {
+            may_removed: &self.may_removed | &other.may_removed,
+            may_written: &self.may_written | &other.may_written,
+            intervals: fields
+                .into_iter()
+                .map(|f| (f.clone(), self.interval_of(f).join(&other.interval_of(f))))
+                .collect(),
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validity_join() {
-        assert_eq!(Validity::Valid.join(&Validity::Valid), Validity::Valid);
-        assert_eq!(Validity::Valid.join(&Validity::Invalid), Validity::Top);
-        assert_eq!(Validity::Top.join(&Validity::Invalid), Validity::Top);
-    }
 
     #[test]
     fn interval_compare_three_valued() {

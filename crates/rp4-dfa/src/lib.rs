@@ -1,14 +1,15 @@
-//! Abstract-interpretation dataflow analysis for rP4.
+//! Static analysis of rP4 programs: every AST-level lint, and the
+//! design-level facts the fast path uses.
 //!
-//! This crate adds the third diagnostic block (RP43xx) on top of the
-//! semantic checker (RP40xx), resource verifier (RP41xx), and update
-//! verifier (RP42xx): a worklist fixpoint over the stage-chain CFG with
-//! pluggable abstract domains ([`lattice`]), run in two settings:
-//!
-//! 1. **AST level** ([`analyze_program`]): RP4301–RP4305 over a checked
-//!    [`Program`], gated exactly like the other blocks in `rp4c check`,
-//!    `apply_plan`, and CI. [`check_plan`] adds RP4306, the plan-level
-//!    regression check.
+//! 1. **AST level** ([`analyze_program`]): one analysis over a checked
+//!    [`Program`] builds a per-stage summary once (reachable actions, what
+//!    they read and write, per-arm field uses and proven-valid headers) and
+//!    answers both lint blocks from it: the program lints RP4101, RP4102,
+//!    RP4104 and RP4106 (codes in `rp4_verify::codes`), and the dataflow
+//!    lints RP4301–RP4305 from one forward pass of abstract interpretation
+//!    ([`lattice`]) down the live stage chain. `rp4c::lint_program` runs it
+//!    in `rp4c check`, `full_compile` and CI. [`check_plan`] adds RP4306,
+//!    the plan-level regression check, as a query over the same summary.
 //! 2. **Design level** ([`design_facts`]): distills proofs about a
 //!    [`CompiledDesign`] into a serialized [`ProgramFacts`] artifact the
 //!    device's epoch compiler uses to skip statically-redundant work —
@@ -19,14 +20,16 @@
 //! [`ProgramFacts`]: ipsa_core::facts::ProgramFacts
 
 pub mod design;
-pub mod engine;
 pub mod lattice;
 pub mod plan;
 pub mod program;
+mod summary;
 
 pub use design::design_facts;
 pub use plan::check_plan;
 pub use program::analyze_program;
+
+use std::collections::BTreeSet;
 
 use rp4_lang::Diagnostic;
 
@@ -50,87 +53,48 @@ pub mod codes {
     pub const PLAN_FACT_REGRESSION: &str = "RP4306";
 }
 
-/// Merges dataflow findings into an existing finding list, dropping
-/// findings that re-report a root cause an earlier analysis block already
-/// covers:
-///
-/// * RP43xx findings whose subject matches an RP4106 (dead code) finding —
-///   both fire on one unclaimed stage or unused item, and RP4106 carries
-///   the removal guidance;
-/// * RP4403 (statically-dead action, from path coverage) findings naming
-///   an item an RP4106/RP4303/RP4304 finding already names — an action is
-///   often dead exactly because its store is dead (RP4303) or because the
-///   only arm applying its table is unreachable (RP4304), and the narrower
-///   dataflow finding explains *why*.
-///
-/// The subject of a finding is its first backtick-quoted name; RP4403
-/// dedup compares every backtick-quoted token on both sides (RP4403 names
-/// the action then the table; RP4304 leads with the stage but also names
-/// the table).
-pub fn merge_findings(existing: &[Diagnostic], dfa: Vec<Diagnostic>) -> Vec<Diagnostic> {
-    let dead_subjects: Vec<String> = existing
+/// Merges a later block's findings into an existing finding list, dropping
+/// each one about an item an existing RP4106 (dead code), RP4303 (dead
+/// store) or RP4304 (unreachable arm) finding already reports. Findings
+/// are compared by their root-cause [`key`](Diagnostic::key), the
+/// `(kind, name)` items they are about. An RP4403 (statically-dead action,
+/// from path coverage) is often dead exactly because its store is dead or
+/// because the only arm applying its table is unreachable, and the
+/// narrower finding explains *why*.
+pub fn merge_findings(existing: &[Diagnostic], new: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let reported: BTreeSet<_> = existing
         .iter()
-        .filter(|d| d.code == "RP4106")
-        .filter_map(|d| first_backticked(&d.message))
+        .filter(|d| matches!(d.code.as_str(), "RP4106" | "RP4303" | "RP4304"))
+        .flat_map(|d| &d.key)
         .collect();
-    let dfa: Vec<Diagnostic> = dfa
-        .into_iter()
-        .filter(|d| {
-            !d.code.starts_with("RP43")
-                || first_backticked(&d.message).is_none_or(|s| !dead_subjects.contains(&s))
-        })
-        .collect();
-    let mut known: Vec<String> = dead_subjects;
-    for d in existing.iter().chain(dfa.iter()) {
-        if d.code == "RP4303" || d.code == "RP4304" {
-            known.extend(backticked_all(&d.message));
-        }
-    }
-    dfa.into_iter()
-        .filter(|d| {
-            d.code != "RP4403" || !backticked_all(&d.message).iter().any(|s| known.contains(s))
-        })
+    new.into_iter()
+        .filter(|d| !d.key.iter().any(|k| reported.contains(k)))
         .collect()
-}
-
-/// First backtick-quoted token of a diagnostic message.
-fn first_backticked(msg: &str) -> Option<String> {
-    backticked_all(msg).into_iter().next()
-}
-
-/// Every backtick-quoted token of a diagnostic message, in order.
-fn backticked_all(msg: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = msg;
-    while let Some(start) = rest.find('`') {
-        let tail = &rest[start + 1..];
-        let Some(len) = tail.find('`') else { break };
-        out.push(tail[..len].to_string());
-        rest = &tail[len + 1..];
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp4_lang::Diagnostic;
+    use rp4_lang::{Diagnostic, ItemKind};
 
     #[test]
     fn merge_drops_duplicate_root_cause() {
         let existing = vec![Diagnostic::warning(
             "RP4106",
             "stage `floating` is defined but not part of any function",
-        )];
+        )
+        .with_key(ItemKind::Stage, "floating")];
         let dfa = vec![
             Diagnostic::warning(
                 "RP4304",
                 "stage `floating` is unreachable: no `user_funcs` entry claims it",
-            ),
+            )
+            .with_key(ItemKind::Stage, "floating"),
             Diagnostic::warning(
                 "RP4304",
                 "arm 1 of stage `fwd` is unreachable: arm 0 is unconditional",
-            ),
+            )
+            .with_key(ItemKind::Stage, "fwd"),
         ];
         let merged = merge_findings(&existing, dfa);
         assert_eq!(merged.len(), 1);
@@ -145,16 +109,21 @@ mod tests {
         let existing = vec![Diagnostic::warning(
             "RP4303",
             "action `set_ttl` stores to `ipv4.ttl` twice with no intervening read; the first store is dead",
-        )];
+        )
+        .with_key(ItemKind::Action, "set_ttl")];
         let dfa = vec![
             Diagnostic::warning(
                 "RP4403",
                 "action `set_ttl` of table `fwd` is selected on no feasible path",
-            ),
+            )
+            .with_key(ItemKind::Action, "set_ttl")
+            .with_key(ItemKind::Table, "fwd"),
             Diagnostic::warning(
                 "RP4403",
                 "action `mark_ecn` of table `qos` is selected on no feasible path",
-            ),
+            )
+            .with_key(ItemKind::Action, "mark_ecn")
+            .with_key(ItemKind::Table, "qos"),
         ];
         let merged = merge_findings(&existing, dfa);
         assert_eq!(merged.len(), 1);
@@ -168,21 +137,46 @@ mod tests {
         let existing = vec![Diagnostic::warning(
             "RP4304",
             "arm 1 of stage `fwd` is unreachable: arm 0 is unconditional, so table `acl` is never applied from it",
-        )];
+        )
+        .with_key(ItemKind::Stage, "fwd")
+        .with_key(ItemKind::Table, "acl")];
         let dfa = vec![Diagnostic::warning(
             "RP4403",
             "action `punt` of table `acl` is selected on no feasible path",
-        )];
+        )
+        .with_key(ItemKind::Action, "punt")
+        .with_key(ItemKind::Table, "acl")];
         assert!(merge_findings(&existing, dfa).is_empty());
     }
 
     #[test]
     fn merge_keeps_unrelated_findings() {
-        let existing = vec![Diagnostic::warning("RP4106", "action `spare` is unused")];
+        let existing = vec![Diagnostic::warning("RP4106", "action `spare` is unused")
+            .with_key(ItemKind::Action, "spare")];
         let dfa = vec![Diagnostic::warning(
             "RP4302",
             "guard in stage `s` reads `meta.ghost` but no reachable earlier action writes it",
         )];
         assert_eq!(merge_findings(&existing, dfa).len(), 1);
+    }
+
+    #[test]
+    fn merge_keeps_dead_action_of_a_table_named_like_an_unreachable_stage() {
+        // Stages often share their table's name. RP4304 here is about stage
+        // `fwd` (and table `acl`); an RP4403 about *table* `fwd` has another
+        // root cause and must survive. Comparing quoted words dropped it.
+        let existing = vec![Diagnostic::warning(
+            "RP4304",
+            "arm 1 of stage `fwd` is unreachable: arm 0 is unconditional, so table `acl` is never applied from it",
+        )
+        .with_key(ItemKind::Stage, "fwd")
+        .with_key(ItemKind::Table, "acl")];
+        let cover = vec![Diagnostic::warning(
+            "RP4403",
+            "action `set_nh` of table `fwd` is selected on no feasible path",
+        )
+        .with_key(ItemKind::Action, "set_nh")
+        .with_key(ItemKind::Table, "fwd")];
+        assert_eq!(merge_findings(&existing, cover).len(), 1);
     }
 }

@@ -11,12 +11,14 @@
 //! that was already writer-less before the update is pre-existing debt,
 //! not a plan regression.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use rp4_lang::ast::Program;
-use rp4_lang::semantic::Env;
+use rp4_lang::semantic::{Env, INTRINSIC_META};
 use rp4_lang::{Diagnostic, ItemKind};
 
 use crate::codes;
-use crate::program::must_uninit_reads;
+use crate::summary::{Res, Summary};
 
 /// Compares the post-update program against the pre-update one and reports
 /// an RP4306 error for every metadata field whose last writer the update
@@ -50,4 +52,25 @@ pub fn check_plan(pre: &Program, post: &Program) -> Vec<Diagnostic> {
         );
     }
     diags
+}
+
+/// Must-uninitialized metadata reads of a program: fields some live stage
+/// reads that **no** action reachable from any live stage writes. Order-
+/// insensitive (quantifies over the whole pipeline), so it is stable under
+/// the controller's stage relinking. Returns `field → reading stage`.
+fn must_uninit_reads(prog: &Program, env: &Env) -> BTreeMap<String, String> {
+    let summary = Summary::build(prog, env);
+    let mut written: BTreeSet<&str> = INTRINSIC_META.iter().map(|(n, _)| *n).collect();
+    written.extend(summary.live().flat_map(|s| &s.writes).filter_map(Res::meta));
+    let mut out = BTreeMap::new();
+    for s in summary.live() {
+        for f in s
+            .meta_reads
+            .iter()
+            .filter(|f| !written.contains(f.as_str()))
+        {
+            out.entry(f.clone()).or_insert_with(|| s.decl.name.clone());
+        }
+    }
+    out
 }

@@ -15,7 +15,7 @@
 //!
 //! layout when source text is available, and a single-line form otherwise.
 
-use crate::span::Span;
+use crate::span::{ItemKind, Span};
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -48,6 +48,10 @@ pub struct Diagnostic {
     pub message: String,
     /// Supplementary `= note:` lines.
     pub notes: Vec<String>,
+    /// Root-cause key: the `(kind, name)` items the finding is about. Never
+    /// rendered; two analysers' findings about one item are deduplicated
+    /// by comparing keys.
+    pub key: Vec<(ItemKind, String)>,
 }
 
 impl Diagnostic {
@@ -59,6 +63,7 @@ impl Diagnostic {
             span: None,
             message: message.into(),
             notes: vec![],
+            key: vec![],
         }
     }
 
@@ -79,6 +84,12 @@ impl Diagnostic {
     /// Appends a note (builder-style).
     pub fn with_note(mut self, note: impl Into<String>) -> Self {
         self.notes.push(note.into());
+        self
+    }
+
+    /// Adds an item to the root-cause key (builder-style).
+    pub fn with_key(mut self, kind: ItemKind, name: impl Into<String>) -> Self {
+        self.key.push((kind, name.into()));
         self
     }
 

@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::ast::*;
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::span::{ItemKind, Span};
 
 /// Stable codes for semantic diagnostics (`RP40xx` block).
@@ -45,13 +45,7 @@ pub struct SemanticError {
 impl SemanticError {
     /// Converts to the shared diagnostic form for rendering.
     pub fn to_diagnostic(&self) -> Diagnostic {
-        Diagnostic {
-            code: self.code.to_string(),
-            severity: Severity::Error,
-            span: self.span,
-            message: self.msg.clone(),
-            notes: vec![],
-        }
+        Diagnostic::error(self.code, self.msg.clone()).with_span(self.span)
     }
 }
 

@@ -1,42 +1,38 @@
-//! # rp4-verify — static analysis for rP4 programs and update plans
+//! # rp4-verify — resource and update-plan checks for rP4
 //!
-//! In-situ reprogramming means mistakes reach a *running* pipeline: a stage
-//! that reads an unparsed header, a memory plan that overcommits the
-//! disaggregated pool, or a structural update applied while traffic flows
-//! all corrupt live forwarding state. This crate lints for those classes of
-//! bugs *before* anything is sent to the switch, reporting structured
+//! In-situ reprogramming means mistakes reach a *running* pipeline: a memory
+//! plan that overcommits the disaggregated pool, or a structural update
+//! applied while traffic flows, corrupts live forwarding state. This crate
+//! holds the checks that are not dataflow, reporting structured
 //! [`Diagnostic`]s (code `RP41xx`, severity, span, notes) that render in the
-//! same rustc-style format as the front end's semantic errors (`RP40xx`).
+//! same rustc-style format as the front end's semantic errors (`RP40xx`):
 //!
-//! Three entry points, matching the three artifact levels:
-//!
-//! - [`verify_program`]: AST-level lints over a checked [`Program`] —
-//!   use-before-parse (RP4101), stage merge hazards (RP4102),
-//!   elastic-pipeline validity (RP4104), dead code (RP4106);
 //! - [`verify_pool`]: lowered-registry lint — disaggregated-memory
 //!   overcommit against a target's block budget (RP4103);
 //! - [`verify_msgs`]: control-plane plan lint — structural messages outside
 //!   a `Drain … Resume` window (RP4105).
 //!
-//! The compiler (`rp4c`) runs all three inside `full_compile` and checks
-//! update plans in `incremental_compile`; the CLI and controller render or
-//! reject on the results. The crate deliberately depends only on `rp4-lang`
-//! and `ipsa-core` so every layer above (compiler, controller, CLI) can call
-//! it without cycles.
+//! It also owns the RP41xx [`codes`] and the [`ResourceLimits`] budget. The
+//! AST-level RP41xx lints (RP4101, RP4102, RP4104, RP4106) run in
+//! `rp4_dfa::analyze_program`, over the same per-stage summary as the
+//! dataflow lints. The compiler (`rp4c::lint_program`) runs both inside
+//! `full_compile` and checks update plans in `incremental_compile`; the CLI
+//! and controller render or reject on the results. The crate deliberately
+//! depends only on `rp4-lang` and `ipsa-core` so every layer above
+//! (analysers, compiler, controller, CLI) can call it without cycles.
 
 #![warn(missing_docs)]
 
 pub mod plan;
 pub mod pool;
-pub mod program;
 
 pub use plan::verify_msgs;
 pub use pool::verify_pool;
-pub use program::verify_program;
 pub use rp4_lang::{render_all, Diagnostic, Severity};
 
 /// Stable lint codes. Codes `RP4001`–`RP4007` are the front end's semantic
-/// errors (`rp4_lang::semantic::codes`); the verifier owns `RP4101`+.
+/// errors (`rp4_lang::semantic::codes`); the verifier owns `RP4101`+
+/// (RP4101, RP4102, RP4104 and RP4106 are emitted by `rp4-dfa`).
 pub mod codes {
     /// A stage reads or writes a header field that no stage at or before it
     /// in its pipeline parses.
@@ -87,40 +83,5 @@ impl ResourceLimits {
             sram_blocks: usize::MAX,
             tcam_blocks: usize::MAX,
         }
-    }
-}
-
-/// A dependency-tracked resource, mirroring `rp4c::depgraph::Res` at the
-/// AST level (this crate sits below the compiler, so it cannot share the
-/// type itself).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Res {
-    /// A specific header field.
-    Field(String, String),
-    /// A header's presence/shape (insert/remove operations).
-    Validity(String),
-    /// A metadata field.
-    Meta(String),
-}
-
-impl std::fmt::Display for Res {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Res::Field(h, fld) => write!(f, "`{h}.{fld}`"),
-            Res::Validity(h) => write!(f, "validity of header `{h}`"),
-            Res::Meta(m) => write!(f, "`meta.{m}`"),
-        }
-    }
-}
-
-/// True when two resources conflict: equal, or a field/validity pair on the
-/// same header (header surgery invalidates field offsets).
-pub(crate) fn res_conflicts(a: &Res, b: &Res) -> bool {
-    if a == b {
-        return true;
-    }
-    match (a, b) {
-        (Res::Validity(h), Res::Field(h2, _)) | (Res::Field(h2, _), Res::Validity(h)) => h == h2,
-        _ => false,
     }
 }

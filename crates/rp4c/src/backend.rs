@@ -361,6 +361,27 @@ impl FaultInjection {
     }
 }
 
+/// Every static lint over a checked program, in report order: the RP41xx
+/// program lints, RP4103 over the lowered `registries`, then the RP43xx
+/// dataflow lints. `env` must come from the `check` that accepted `prog`.
+pub fn lint_program(
+    prog: &Program,
+    env: &Env,
+    (tables, actions): &Registries,
+    target: &CompilerTarget,
+) -> Vec<Diagnostic> {
+    let limits = verify_limits(target);
+    let (mut findings, dataflow) = rp4_dfa::analyze_program(prog, env, &limits);
+    findings.extend(rp4_verify::verify_pool(
+        tables,
+        actions,
+        &limits,
+        Some(&prog.spans),
+    ));
+    findings.extend(dataflow);
+    findings
+}
+
 /// Full rp4bc compilation: program → device configuration.
 pub fn full_compile(prog: &Program, target: &CompilerTarget) -> Result<Compilation, CompileError> {
     compile_with(prog, target, None)
@@ -383,25 +404,17 @@ fn compile_with(
     faults: Option<&FaultInjection>,
 ) -> Result<Compilation, CompileError> {
     let env = check(prog, None).map_err(CompileError::Semantic)?;
+    let registries = lower_registries(&env, prog)?;
 
     // Static analysis gates the rest of the pipeline: error-severity
     // findings abort, warnings ride along on the compilation result.
-    let limits = verify_limits(target);
-    let mut findings = rp4_verify::verify_program(prog, &env, &limits);
-    let (mut tables, mut actions) = lower_registries(&env, prog)?;
-    findings.extend(rp4_verify::verify_pool(
-        &tables,
-        &actions,
-        &limits,
-        Some(&prog.spans),
-    ));
-    let dfa = rp4_dfa::analyze_program(prog, &env);
-    findings.extend(rp4_dfa::merge_findings(&findings, dfa));
+    let mut findings = lint_program(prog, &env, &registries, target);
     if findings.iter().any(|d| d.severity == Severity::Error) {
         findings.retain(|d| d.severity == Severity::Error);
         return Err(CompileError::Verify(findings));
     }
     let warnings = findings;
+    let (mut tables, mut actions) = registries;
 
     // Seed deliberate lowering bugs *after* the verifier gate, so injected
     // miscompiles reach the design exactly as a real backend bug would.

@@ -31,7 +31,8 @@ pub mod packing;
 
 pub use api_gen::{generate_apis, TableApi};
 pub use backend::{
-    full_compile, lower_registries, verify_limits, Compilation, CompileError, CompilerTarget,
+    full_compile, lint_program, lower_registries, verify_limits, Compilation, CompileError,
+    CompilerTarget,
 };
 #[doc(hidden)]
 pub use backend::{full_compile_with_faults, FaultInjection};

@@ -188,8 +188,8 @@ fn plan_regression_pair_reports_rp4306() {
 }
 
 /// One root cause, one finding: an unclaimed stage is RP4106's dead-code
-/// finding, and the dataflow pass proves the same stage unreachable
-/// (RP4304). `merge_findings` must keep only the verifier's RP4106.
+/// finding. The dataflow pass runs over linked stages only, so it must not
+/// report the same stage unreachable (RP4304) as well.
 #[test]
 fn unclaimed_stage_is_reported_once() {
     // base.rp4 with stage `acct_s` declared but left out of `user_funcs`.
