@@ -67,8 +67,7 @@ fn corpus_replays_bit_identically_on_all_programs() {
 
         // The coverage gate: every feasible path of the live design must
         // have a witness, within the default budget.
-        let facts = rp4_dfa::design_facts(&interp.design);
-        let cov = cover_design(&interp.design, Some(&facts), None, &CoverOptions::default());
+        let cov = cover_design(&interp.design, None, &CoverOptions::default());
         assert!(
             cov.fully_covered(),
             "case {case:?}: {}/{} paths witnessed (overflowed: {}); skips: {:?}",

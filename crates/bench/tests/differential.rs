@@ -11,9 +11,11 @@
 
 use std::collections::BTreeMap;
 
+use ipbm::fast::CompiledPath;
 use ipbm::{IpbmSwitch, ShardedSwitch};
 use ipsa_bench::{ipsa_sharded_flow, ipsa_sw_flow, populate_rp4_flow};
 use ipsa_controller::{programs, Rp4Flow};
+use ipsa_core::action::{ActionDef, Primitive};
 use ipsa_core::control::{ControlMsg, Device};
 use ipsa_core::hash::flow_hash;
 use ipsa_core::table::{ActionCall, KeyMatch, TableEntry};
@@ -130,10 +132,6 @@ fn assert_equivalent(
         assert!(
             fast.device.pm.has_compiled(),
             "fast path must actually be compiled (not interpreter fallback)"
-        );
-        assert!(
-            fast.device.pm.has_facts(),
-            "controller-installed dataflow facts must be live (fact-guided compilation)"
         );
     }
     let emitted = out_i.len();
@@ -286,10 +284,6 @@ fn every_entry_point_agrees_and_holds_traffic_while_draining() {
         })
         .expect("acl stage loads in situ");
         let sw = &mut flow.device;
-        assert!(
-            sw.pm.has_facts(),
-            "{name}: facts reinstalled after the load"
-        );
         let mut out = Vec::new();
 
         for p in &frames {
@@ -306,10 +300,6 @@ fn every_entry_point_agrees_and_holds_traffic_while_draining() {
         // Between Drain and Resume the Device entry points hold traffic
         // back.
         sw.apply(&[ControlMsg::Drain]).expect("drain applies");
-        assert!(
-            !sw.pm.has_facts(),
-            "{name}: a structural message clears facts"
-        );
         for p in &frames {
             sw.inject(p.clone());
         }
@@ -335,6 +325,107 @@ fn every_entry_point_agrees_and_holds_traffic_while_draining() {
             Some(want) => assert_eq!(&got, want, "`{name}` differs from `run`"),
         }
     }
+}
+
+/// What fact guidance decides in a compiled path: the locator-cache proof
+/// and size, and per compiled slot its parse count and branch arms.
+#[derive(Debug, PartialEq)]
+struct Guidance {
+    stable_headers: bool,
+    cache_slots: usize,
+    slots: Vec<(usize, usize, usize)>,
+}
+
+fn guidance(cp: &CompiledPath) -> Guidance {
+    Guidance {
+        stable_headers: cp.stable_headers,
+        cache_slots: cp.cache_slots,
+        slots: cp
+            .ingress
+            .iter()
+            .chain(&cp.egress)
+            .map(|s| (s.slot, s.parse.len(), s.branches.len()))
+            .collect(),
+    }
+}
+
+/// Guidance of the path the switch compiles next.
+fn next_guidance(sw: &mut IpbmSwitch) -> Guidance {
+    assert!(sw.pm.ensure_compiled(&sw.linkage, &sw.sm), "path compiles");
+    guidance(sw.pm.compiled().expect("compiled path"))
+}
+
+/// Applies a non-entry batch and checks it opened exactly one epoch.
+fn apply_one_epoch(sw: &mut IpbmSwitch, msgs: &[ControlMsg]) {
+    let epoch = sw.pm.epoch();
+    sw.apply(msgs).expect("batch applies");
+    assert_eq!(sw.pm.epoch(), epoch + 1, "{msgs:?} opened one epoch");
+}
+
+/// Fact guidance is derived from the device's own state, so it survives
+/// control batches no controller followed up on: a bare `Drain`/`Resume`,
+/// a staged structural batch that is reverted, and a raw `DefineAction`.
+/// After each, the next compiled path is guided exactly as a fresh
+/// install's, and every non-entry batch opens exactly one epoch. The path a
+/// `ShardedSwitch` publishes after raw batches is guided the same way.
+#[test]
+fn fact_guidance_follows_device_state() {
+    let fresh = next_guidance(&mut ipsa_sw_flow().device);
+    assert!(fresh.stable_headers && fresh.cache_slots > 0, "{fresh:?}");
+    let decap = ControlMsg::DefineAction(ActionDef {
+        name: "raw_decap".into(),
+        params: vec![],
+        body: vec![Primitive::RemoveHeader {
+            header: "ipv4".into(),
+        }],
+    });
+    let noop = ControlMsg::DefineAction(ActionDef {
+        name: "raw_noop".into(),
+        params: vec![],
+        body: vec![Primitive::NoAction],
+    });
+
+    let mut flow = ipsa_sw_flow();
+    let sw = &mut flow.device;
+    apply_one_epoch(sw, &[ControlMsg::Drain]);
+    apply_one_epoch(sw, &[ControlMsg::Resume]);
+    assert_eq!(next_guidance(sw), fresh, "after a bare Drain/Resume");
+
+    let first = sw.pm.selector.ingress_slots()[0];
+    sw.begin_staged().expect("transaction opens");
+    apply_one_epoch(
+        sw,
+        &[
+            ControlMsg::Drain,
+            decap.clone(),
+            ControlMsg::ClearSlot { slot: first },
+            ControlMsg::Resume,
+        ],
+    );
+    let staged = next_guidance(sw);
+    assert!(!staged.stable_headers && staged.slots.len() < fresh.slots.len());
+    sw.revert_staged().expect("transaction reverts");
+    assert_eq!(next_guidance(sw), fresh, "after a reverted staged batch");
+
+    apply_one_epoch(sw, std::slice::from_ref(&noop));
+    assert_eq!(next_guidance(sw), fresh, "after a raw DefineAction");
+
+    let mut sharded = ipsa_sharded_flow(2);
+    for msgs in [
+        vec![ControlMsg::Drain],
+        vec![ControlMsg::Resume],
+        vec![noop],
+    ] {
+        let epoch = sharded.device.master.pm.epoch();
+        sharded.device.apply(&msgs).expect("batch applies");
+        assert_eq!(sharded.device.master.pm.epoch(), epoch + 1);
+    }
+    for p in traffic(3, 20, 8, 16) {
+        sharded.device.inject(p);
+    }
+    sharded.device.run_batch();
+    let published = sharded.device.published().expect("a path was published");
+    assert_eq!(guidance(published), fresh, "the sharded publish");
 }
 
 proptest! {
@@ -419,10 +510,6 @@ fn assert_shard_invariant(
         assert!(
             sharded.device.on_compiled_path(),
             "shards must run the compiled path (not interpreter fallback)"
-        );
-        assert!(
-            sharded.device.master.pm.has_facts(),
-            "controller-installed dataflow facts must be live (fact-guided compilation)"
         );
     }
     let emitted = out_i.len();
@@ -681,10 +768,6 @@ fn entry_batches_between_bursts_keep_the_compiled_path() {
             (fast.device.pm.epoch(), sharded.device.master.pm.epoch()),
             epochs,
             "round {k}: an entry batch opened an epoch"
-        );
-        assert!(
-            fast.device.pm.has_facts(),
-            "round {k}: facts survive entry ops"
         );
     }
     let mut ports: Vec<_> = out_i.iter().map(|p| p.meta.egress_port).collect();

@@ -199,10 +199,8 @@ fn cmd_check(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
         // concretize a witness per path, and report the RP44xx findings
         // (deduplicated against the dataflow block above).
         if do_cover {
-            let facts = rp4_dfa::design_facts(&c.design);
             let cov = rp4_cover::cover_design(
                 &c.design,
-                Some(&facts),
                 Some(&checked),
                 &rp4_cover::CoverOptions::default(),
             );
@@ -257,14 +255,13 @@ fn cmd_cover(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
     rp4_lang::check(&prog, None).map_err(|errs| format!("{} semantic error(s)", errs.len()))?;
     let target = target_of(flags)?;
     let c = rp4c::full_compile(&prog, &target).map_err(|e| e.to_string())?;
-    let facts = rp4_dfa::design_facts(&c.design);
     let mut opts = rp4_cover::CoverOptions::default();
     if let Some(n) = flags.get("max-paths") {
         opts.max_paths = n
             .parse()
             .map_err(|_| format!("--max-paths: `{n}` is not a number"))?;
     }
-    let cov = rp4_cover::cover_design(&c.design, Some(&facts), Some(&prog), &opts);
+    let cov = rp4_cover::cover_design(&c.design, Some(&prog), &opts);
     if !cov.diags.is_empty() {
         eprint!("{}", rp4_lang::render_all(&cov.diags, Some(&src), file));
     }

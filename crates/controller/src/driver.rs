@@ -177,7 +177,7 @@ impl<D: Device> Rp4Flow<D> {
     ) -> Result<(Self, ApplyReport), ControllerError> {
         let msgs = ipsa_core::control::full_install_msgs(&compilation.design);
         let report = device.apply(&msgs)?;
-        let mut flow = Rp4Flow {
+        let flow = Rp4Flow {
             device,
             design: compilation.design,
             program: compilation.program,
@@ -186,19 +186,7 @@ impl<D: Device> Rp4Flow<D> {
             force: false,
             target,
         };
-        flow.refresh_facts();
         Ok((flow, report))
-    }
-
-    /// Recomputes the dataflow facts for the current design and installs
-    /// them on the device. Called after every structural change so the
-    /// device's fact-guided fast path is never stale: the device itself
-    /// clears facts on any non-entry control message, and this puts fresh
-    /// ones back.
-    fn refresh_facts(&mut self) {
-        let facts = rp4_dfa::design_facts(&self.design);
-        self.device
-            .install_facts(if facts.is_empty() { None } else { Some(facts) });
     }
 
     fn flush_updates(
@@ -219,7 +207,6 @@ impl<D: Device> Rp4Flow<D> {
         self.program = plan.program;
         self.apis = plan.apis;
         cmds.clear();
-        self.refresh_facts();
         Ok(())
     }
 
@@ -243,7 +230,6 @@ impl<D: Device> Rp4Flow<D> {
         self.design = cp.design.clone();
         self.program = cp.program.clone();
         self.apis = cp.apis.clone();
-        self.refresh_facts();
         Ok(report)
     }
 
@@ -353,7 +339,6 @@ impl<D: Device> Rp4Flow<D> {
         self.design = plan.design;
         self.program = plan.program;
         self.apis = plan.apis;
-        self.refresh_facts();
         Ok(report)
     }
 

@@ -137,11 +137,11 @@ impl ControlMsg {
         )
     }
 
-    /// True for pure table-entry operations. Entry churn can never change
-    /// what the dataflow analyzer proved about the pipeline *program*
-    /// (facts quantify over every registered action and every entry), so
-    /// installed [`crate::facts::ProgramFacts`] survive these messages;
-    /// anything else invalidates them.
+    /// True for pure table-entry operations. A batch of only these opens
+    /// no control-plane epoch: the device's compiled fast path reads rows in
+    /// place, and entry churn cannot change its dataflow facts (they
+    /// quantify over every registered action and every entry). Any other
+    /// message opens an epoch.
     pub fn is_entry_op(&self) -> bool {
         matches!(
             self,
@@ -253,13 +253,10 @@ pub trait Device {
     /// Number of packets currently queued and unprocessed.
     fn pending(&self) -> usize;
 
-    /// Installs (or clears, with `None`) statically proven dataflow facts
-    /// for the currently installed design. Facts are advisory: devices
-    /// without a fact-guided fast path ignore them, so the default
-    /// implementation does nothing. Devices that honor facts must drop
-    /// them whenever a non-entry control message lands (see
-    /// [`ControlMsg::is_entry_op`]) so a raw structural edit can never run
-    /// against stale facts.
+    /// Ignored by every device: a device derives its dataflow facts from
+    /// its own state when it compiles (`ipsa_core::facts::derive`). Kept
+    /// only because the benchmark's device wrapper forwards it; a later
+    /// change to the benchmark deletes both.
     fn install_facts(&mut self, facts: Option<crate::facts::ProgramFacts>) {
         let _ = facts;
     }

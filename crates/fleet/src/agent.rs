@@ -126,10 +126,6 @@ fn execute(name: &str, dev: &mut ShardedSwitch, req: Request) -> Response {
             Ok(out) => Response::Packets(out),
             Err(e) => Response::Error(e.to_string()),
         },
-        Request::InstallFacts(facts) => {
-            dev.install_facts(facts);
-            Response::Done
-        }
         Request::Stats => Response::Stats(Box::new(DeviceStats {
             name: name.to_string(),
             epoch: dev.master.pm.epoch(),

@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 
 use ipbm::{IpbmConfig, IpbmSwitch, ShardedSwitch};
 use ipsa_core::control::{full_install_msgs, ControlMsg};
-use ipsa_core::facts::ProgramFacts;
 use ipsa_core::template::CompiledDesign;
 use ipsa_netpkt::packet::Packet;
 use rand::rngs::StdRng;
@@ -58,8 +57,6 @@ pub struct FleetUpdate {
     pub msgs: Vec<ControlMsg>,
     /// The design the batch produces.
     pub design: CompiledDesign,
-    /// Dataflow facts proven for `design` (installed after commit).
-    pub facts: Option<ProgramFacts>,
     /// Preferred canary device; default is the first available device.
     pub canary: Option<String>,
 }
@@ -98,7 +95,6 @@ pub struct FleetController {
     agents: Vec<AgentHandle>,
     election_id: ElectionId,
     design: Option<CompiledDesign>,
-    facts: Option<ProgramFacts>,
     /// Completed rollouts (fleet configuration epoch).
     epoch: u64,
     rng: StdRng,
@@ -114,7 +110,6 @@ impl FleetController {
             agents: Vec::new(),
             election_id: 1,
             design: None,
-            facts: None,
             epoch: 0,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -315,9 +310,9 @@ impl FleetController {
 
     /// Brings a freshly-recovered device back in line with the fleet:
     /// reverts any staged transaction stranded by a mid-rollout
-    /// disappearance, re-applies the structural diff from the device's
-    /// last committed design to the fleet's current one, and reinstalls
-    /// facts. Only then does the device count as healthy again.
+    /// disappearance and re-applies the structural diff from the device's
+    /// last committed design to the fleet's current one. Only then does the
+    /// device count as healthy again.
     ///
     /// Reconciliation is structural: entries of tables present in both
     /// designs survived untouched on the device (it was partitioned, not
@@ -364,12 +359,6 @@ impl FleetController {
         {
             return false;
         }
-        if self
-            .call(idx, Request::InstallFacts(self.facts.clone()))
-            .is_err()
-        {
-            return false;
-        }
         self.devices[idx].shadow = Some(target);
         true
     }
@@ -378,16 +367,11 @@ impl FleetController {
 
     /// Installs the initial design fleet-wide (plain, unstaged). Devices
     /// that cannot be reached are left to the heartbeat/reconcile path.
-    pub fn install(
-        &mut self,
-        design: &CompiledDesign,
-        facts: Option<ProgramFacts>,
-    ) -> Result<(), FleetError> {
+    pub fn install(&mut self, design: &CompiledDesign) -> Result<(), FleetError> {
         if self.devices.is_empty() {
             return Err(FleetError::NoDevices);
         }
         self.design = Some(design.clone());
-        self.facts = facts;
         let msgs = full_install_msgs(design);
         for idx in 0..self.devices.len() {
             if self
@@ -402,7 +386,6 @@ impl FleetController {
             {
                 continue;
             }
-            let _ = self.call(idx, Request::InstallFacts(self.facts.clone()));
             self.devices[idx].shadow = Some(design.clone());
         }
         Ok(())
@@ -516,10 +499,10 @@ impl FleetController {
     ///    that *fences* us ([`FleetError::NotMaster`]) aborts without
     ///    failback — our reverts would be fenced too; the new master's
     ///    heartbeat reverts the stranded staged transactions instead.
-    /// 4. **Commit** — every staged device commits; its shadow design
-    ///    advances; facts install. A device unreachable at commit time is
-    ///    quarantined still holding its staged transaction — recovery
-    ///    reverts it and re-applies the committed diff, so it converges.
+    /// 4. **Commit** — every staged device commits and its shadow design
+    ///    advances. A device unreachable at commit time is quarantined
+    ///    still holding its staged transaction — recovery reverts it and
+    ///    re-applies the committed diff, so it converges.
     ///    If *no* commit confirms, the rollout fails with
     ///    [`FleetError::CommitFailed`] and the fleet design does not
     ///    advance.
@@ -531,12 +514,7 @@ impl FleetController {
         // Phase 1: oracle outputs on a local reference device.
         let mut oracle = IpbmSwitch::try_new(IpbmConfig::default())?;
         oracle.install(&plan.design)?;
-        let cov = cover_design(
-            &plan.design,
-            plan.facts.as_ref(),
-            None,
-            &CoverOptions::default(),
-        );
+        let cov = cover_design(&plan.design, None, &CoverOptions::default());
         let oracle_out = replay_corpus(&mut oracle, &cov, ReplayMode::Run)?;
         let witnesses = cov.paths.iter().filter(|p| p.witness.is_some()).count();
 
@@ -615,7 +593,6 @@ impl FleetController {
             match self.call(idx, Request::Commit) {
                 Ok(_) => {
                     self.devices[idx].shadow = Some(plan.design.clone());
-                    let _ = self.call(idx, Request::InstallFacts(plan.facts.clone()));
                     updated.push(self.devices[idx].name.clone());
                 }
                 Err(_) => {
@@ -638,7 +615,6 @@ impl FleetController {
         }
 
         self.design = Some(plan.design.clone());
-        self.facts = plan.facts.clone();
         self.epoch += 1;
         Ok(RolloutReport {
             canary: self.devices[canary].name.clone(),

@@ -12,7 +12,6 @@
 
 use ipbm::{BusyHistogram, SupervisorStats, SwitchReport};
 use ipsa_core::control::{ApplyReport, ControlMsg};
-use ipsa_core::facts::ProgramFacts;
 use ipsa_netpkt::packet::Packet;
 use rp4_equiv::PathWitness;
 use serde::Serialize;
@@ -37,8 +36,6 @@ pub enum RpcKind {
     Revert,
     /// Replay one coverage witness and return the emitted packets.
     Replay,
-    /// Install (or clear) dataflow facts.
-    InstallFacts,
     /// Observability snapshot.
     Stats,
     /// Inject a traffic batch and drain the device.
@@ -49,14 +46,13 @@ pub enum RpcKind {
 
 impl RpcKind {
     /// Every RPC type, for exhaustive fault matrices in tests.
-    pub const ALL: [RpcKind; 10] = [
+    pub const ALL: [RpcKind; 9] = [
         RpcKind::Hello,
         RpcKind::Heartbeat,
         RpcKind::Apply,
         RpcKind::Commit,
         RpcKind::Revert,
         RpcKind::Replay,
-        RpcKind::InstallFacts,
         RpcKind::Stats,
         RpcKind::Traffic,
         RpcKind::Fingerprint,
@@ -86,8 +82,6 @@ pub enum Request {
     /// Replay one witness (entries + packet×injections + teardown) and
     /// return the emitted packets for oracle comparison.
     Replay(Box<PathWitness>),
-    /// Install controller-derived dataflow facts (None clears).
-    InstallFacts(Option<ProgramFacts>),
     /// Observability snapshot.
     Stats,
     /// Inject packets and drain the device through the batched path.
@@ -106,7 +100,6 @@ impl Request {
             Request::Commit => RpcKind::Commit,
             Request::Revert => RpcKind::Revert,
             Request::Replay(_) => RpcKind::Replay,
-            Request::InstallFacts(_) => RpcKind::InstallFacts,
             Request::Stats => RpcKind::Stats,
             Request::Traffic(_) => RpcKind::Traffic,
             Request::Fingerprint => RpcKind::Fingerprint,
@@ -121,11 +114,7 @@ impl Request {
     pub fn is_mutation(&self) -> bool {
         matches!(
             self,
-            Request::Apply { .. }
-                | Request::Commit
-                | Request::Revert
-                | Request::Replay(_)
-                | Request::InstallFacts(_)
+            Request::Apply { .. } | Request::Commit | Request::Revert | Request::Replay(_)
         )
     }
 }
@@ -184,7 +173,7 @@ pub enum Response {
     },
     /// Batch applied; the device's cost report.
     Applied(ApplyReport),
-    /// Commit/Revert/InstallFacts acknowledged.
+    /// Commit/Revert acknowledged.
     Done,
     /// Emitted packets (Replay and Traffic).
     Packets(Vec<Packet>),

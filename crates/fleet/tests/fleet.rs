@@ -31,7 +31,7 @@ fn rolling_update_smoke_zero_loss() {
     let n = fleet_devices();
     let c1 = compile_v1();
     let mut fc = build_fleet(n, 2);
-    fc.install(&c1.design, None).expect("fleet install");
+    fc.install(&c1.design).expect("fleet install");
 
     let (device, _) = fc.hello("d0").expect("hello");
     assert_eq!(device, "d0");
@@ -89,7 +89,7 @@ fn rolling_update_smoke_zero_loss() {
 fn canary_divergence_blocks_fanout_and_reverts_byte_identically() {
     let c1 = compile_v1();
     let mut fc = build_fleet(3, 2);
-    fc.install(&c1.design, None).expect("fleet install");
+    fc.install(&c1.design).expect("fleet install");
 
     let names = fc.device_names();
     let before: Vec<String> = names
@@ -132,7 +132,7 @@ fn canary_divergence_blocks_fanout_and_reverts_byte_identically() {
 fn partitioned_device_quarantined_then_recovered_by_heartbeat() {
     let c1 = compile_v1();
     let mut fc = build_fleet(4, 2);
-    fc.install(&c1.design, None).expect("fleet install");
+    fc.install(&c1.design).expect("fleet install");
 
     // Cut d2's wire entirely: every send from now on is dropped.
     let mut cut = WireFaultPlan::default();
@@ -195,7 +195,7 @@ fn partitioned_device_quarantined_then_recovered_by_heartbeat() {
 fn failed_reconcile_requarantines_until_recovery_completes() {
     let c1 = compile_v1();
     let mut fc = build_fleet(3, 2);
-    fc.install(&c1.design, None).expect("fleet install");
+    fc.install(&c1.design).expect("fleet install");
 
     // Partition d2 so the rollout quarantines it with the old design.
     let mut cut = WireFaultPlan::default();
@@ -249,7 +249,7 @@ fn failed_reconcile_requarantines_until_recovery_completes() {
 fn lost_canary_revert_quarantines_until_transaction_reverts() {
     let c1 = compile_v1();
     let mut fc = build_fleet(3, 2);
-    fc.install(&c1.design, None).expect("fleet install");
+    fc.install(&c1.design).expect("fleet install");
     let before = fc.fingerprint("d0").expect("fingerprint");
 
     // Every Revert toward the canary is dropped: divergence cleanup fails.
@@ -299,7 +299,7 @@ fn fenced_fanout_leaves_cleanup_to_the_new_master() {
     let c1 = compile_v1();
     let mut fc = build_fleet(2, 2);
     fc.set_election_id(5);
-    fc.install(&c1.design, None).expect("install at election 5");
+    fc.install(&c1.design).expect("install at election 5");
     let before = fc.fingerprint("d0").expect("fingerprint");
 
     // A newer master (id 10) has spoken to d1; we proceed at id 7 — the
@@ -356,7 +356,7 @@ fn fenced_fanout_leaves_cleanup_to_the_new_master() {
 fn rollout_with_no_confirmed_commit_fails_and_design_does_not_advance() {
     let c1 = compile_v1();
     let mut fc = build_fleet(2, 2);
-    fc.install(&c1.design, None).expect("fleet install");
+    fc.install(&c1.design).expect("fleet install");
     let before = fc.fingerprint("d0").expect("fingerprint");
 
     for d in ["d0", "d1"] {
@@ -406,7 +406,7 @@ fn stale_election_id_is_fenced_from_mutations_not_reads() {
     let c1 = compile_v1();
     let mut fc = build_fleet(2, 2);
     fc.set_election_id(5);
-    fc.install(&c1.design, None).expect("install at election 5");
+    fc.install(&c1.design).expect("install at election 5");
 
     // Step down to a stale id: mutations bounce with the active id…
     fc.set_election_id(3);

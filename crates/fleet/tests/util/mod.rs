@@ -109,7 +109,6 @@ pub fn update_plan(c1: &rp4c::Compilation) -> FleetUpdate {
     FleetUpdate {
         msgs: plan.msgs,
         design: plan.design,
-        facts: None,
         canary: None,
     }
 }
@@ -133,7 +132,6 @@ pub fn miscompiled_plan(c1: &rp4c::Compilation) -> FleetUpdate {
     FleetUpdate {
         msgs,
         design: c1.design.clone(),
-        facts: None,
         canary: None,
     }
 }
@@ -144,7 +142,7 @@ pub fn miscompiled_plan(c1: &rp4c::Compilation) -> FleetUpdate {
 pub fn forwarding_witness(
     design: &ipsa_core::template::CompiledDesign,
 ) -> (PathWitness, Vec<Packet>) {
-    let cov = cover_design(design, None, None, &CoverOptions::default());
+    let cov = cover_design(design, None, &CoverOptions::default());
     for path in &cov.paths {
         let Some(w) = &path.witness else { continue };
         let mut reference = IpbmSwitch::new(IpbmConfig::default());

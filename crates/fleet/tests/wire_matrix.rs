@@ -27,7 +27,7 @@ fn run_cell(rpc: RpcKind, fault: WireFault, seed: u64) {
     // A scenario that sends at least one of every RPC kind except Revert
     // (which only fires on failing rollouts — its cell is exercised by the
     // failback tests in fleet.rs and holds vacuously here).
-    fc.install(&c1.design, None).expect("install under fault");
+    fc.install(&c1.design).expect("install under fault");
     let (device, _) = fc.hello("d0").expect("hello under fault");
     assert_eq!(device, "d0");
     fc.heartbeat();

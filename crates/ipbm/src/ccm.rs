@@ -216,15 +216,11 @@ pub(crate) fn apply_msgs_journaled(
         }
     }
     // Only a fully-applied *structural* batch opens a new control-plane
-    // epoch. Entry traffic changes rows, whose tag and args the compiled
-    // fast path reads from the table at each hit, so it stays valid;
-    // a rolled-back batch leaves the device byte-identical to its
-    // checkpoint. Any message beyond entry traffic may also change what the
-    // installed dataflow facts were proven against (templates, actions,
-    // wiring, even header linkage) — drop them; the controller reinstalls
-    // fresh facts after it finishes its own bookkeeping.
+    // epoch, exactly once. Entry traffic changes rows, whose tag and args
+    // the compiled fast path reads from the table at each hit, so it stays
+    // valid; a rolled-back batch leaves the device byte-identical to its
+    // checkpoint.
     if msgs.iter().any(|m| !m.is_entry_op()) {
-        pm.clear_facts();
         pm.invalidate_compiled();
     }
     Ok(report)

@@ -21,7 +21,9 @@
 //!   current — so entry writes leave a compiled path valid,
 //! * crossbar reachability is verified at compile time, so the per-packet
 //!   `can_reach` loop disappears,
-//! * action bodies become [`FastPrim`] sequences with operands pre-bound.
+//! * action bodies become [`FastPrim`] sequences with operands pre-bound,
+//! * the dataflow facts of the latched state ([`facts::derive`]) drop
+//!   provably redundant parses, unreachable arms and dead stores.
 //!
 //! Per packet, the fast path performs no `String` comparison, no `HashMap`
 //! probe by name, and no heap allocation (scratch buffers live in
@@ -36,7 +38,7 @@
 use ipsa_core::action::{execute_prim, ActionOutcome, AluOp, Primitive};
 use ipsa_core::crossbar::Crossbar;
 use ipsa_core::error::CoreError;
-use ipsa_core::facts::ProgramFacts;
+use ipsa_core::facts;
 use ipsa_core::hash::hash_values;
 use ipsa_core::pipeline_cfg::{SelectorConfig, SlotRole};
 use ipsa_core::predicate::{CmpOp, Predicate};
@@ -84,7 +86,7 @@ struct LocEntry {
 /// A per-packet memo of header locations, indexed by the dense cache ids
 /// the epoch compiler assigns to every header reference in the path.
 ///
-/// Soundness rests on the [`ProgramFacts::stable_headers`] proof: no
+/// Soundness rests on the [`facts::ProgramFacts::stable_headers`] proof: no
 /// registered action inserts or removes headers, so within one packet a
 /// location can only change when the *parser* extracts something — and the
 /// fast path bumps the generation after every extracting parse phase
@@ -742,14 +744,15 @@ pub struct CompiledPath {
 /// a table's blocks are not reachable through the crossbar from its slot,
 /// or an executor arm references an undefined action.
 ///
-/// `facts` is the optional [`ProgramFacts`] artifact the controller derived
-/// from the checked rP4 design ([`rp4-dfa`'s `design_facts`]). Every fact
-/// consumed here is advisory and exactness-preserving: elided parse
-/// requirements were already satisfied by an earlier slot (so the skipped
-/// `ensure_parsed_sym` would have been a no-op), pruned branch arms are
-/// statically unreachable (never chosen by the interpreter), and dead
-/// stores become [`FastPrim::NoAction`] so the primitive count — and hence
-/// every statistic — is unchanged.
+/// Every compile derives the pipeline's dataflow facts ([`facts::derive`])
+/// from the state it compiles — `slots`, `selector` and the actions
+/// registered in `sm` — so fact guidance holds whichever control messages
+/// produced that state. Every fact consumed here is exactness-preserving:
+/// elided parse requirements were already satisfied by an earlier slot (so
+/// the skipped `ensure_parsed_sym` would have been a no-op), pruned branch
+/// arms are statically unreachable (never chosen by the interpreter), and
+/// dead stores become [`FastPrim::NoAction`] so the primitive count — and
+/// hence every statistic — is unchanged.
 pub fn compile(
     slots: &[TspSlot],
     selector: &SelectorConfig,
@@ -757,8 +760,12 @@ pub fn compile(
     sm: &StorageModule,
     linkage: &HeaderLinkage,
     epoch: u64,
-    facts: Option<&ProgramFacts>,
 ) -> Result<CompiledPath, CoreError> {
+    let proven = facts::derive(
+        selector,
+        |i| slots.get(i).and_then(|s| s.template.as_ref()),
+        &sm.actions,
+    );
     let mut actions = Vec::new();
     let mut action_ids = Interner::new();
     let mut cache_ids = CacheIds::default();
@@ -771,7 +778,7 @@ pub fn compile(
                     // zero stats, so simply omit it.
                     continue;
                 };
-                let slot_facts = facts.and_then(|f| f.slot(&template.stage_name));
+                let slot_facts = proven.slot(&template.stage_name);
                 let mut compile_call =
                     |call: &ActionCall, ids: &mut CacheIds| -> Result<CompiledCall, CoreError> {
                         let def = sm
@@ -787,7 +794,7 @@ pub fn compile(
                                     .iter()
                                     .enumerate()
                                     .map(|(i, p)| {
-                                        if facts.is_some_and(|f| f.is_dead_store(&call.action, i)) {
+                                        if proven.is_dead_store(&call.action, i) {
                                             // Proven dead store: the written value
                                             // is overwritten before any read. Keep
                                             // a NoAction in its place so the
@@ -891,7 +898,7 @@ pub fn compile(
         ingress,
         egress,
         actions,
-        stable_headers: facts.is_some_and(|f| f.stable_headers),
+        stable_headers: proven.stable_headers,
         cache_slots: cache_ids.0.len(),
     })
 }
@@ -1320,7 +1327,7 @@ mod tests {
         let selector = SelectorConfig::split(2, 1, 1).unwrap();
         let mut xbar = Crossbar::full();
         xbar.connect(0, &[0]).unwrap();
-        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1, None).unwrap();
+        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1).unwrap();
         assert_eq!(cp.ingress.len(), 1);
         let mut scratch = EvalScratch::default();
         let mut stats = SlotStats::default();
@@ -1356,7 +1363,7 @@ mod tests {
         let selector = SelectorConfig::split(1, 1, 0).unwrap();
         let mut xbar = Crossbar::full();
         xbar.connect(0, &[0]).unwrap();
-        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1, None).unwrap();
+        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1).unwrap();
         sm.destroy_table("fib").unwrap();
         let mut scratch = EvalScratch::default();
         let mut stats = SlotStats::default();
@@ -1389,7 +1396,7 @@ mod tests {
         let selector = SelectorConfig::split(1, 1, 0).unwrap();
         let mut xbar = Crossbar::full();
         xbar.connect(0, &[0]).unwrap();
-        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1, None).unwrap();
+        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1).unwrap();
         let def = sm.store_at(0).unwrap().table.def.clone();
         sm.destroy_table("fib").unwrap();
         // A decoy table takes the freed slab slot, then fib comes back at
@@ -1447,7 +1454,7 @@ mod tests {
             stats: SlotStats::default(),
         }];
         let selector = SelectorConfig::split(1, 1, 0).unwrap();
-        let e = compile(&slots, &selector, &Crossbar::full(), &sm, &linkage, 1, None).unwrap_err();
+        let e = compile(&slots, &selector, &Crossbar::full(), &sm, &linkage, 1).unwrap_err();
         assert!(matches!(e, CoreError::UnknownTable(_)));
     }
 
@@ -1461,7 +1468,7 @@ mod tests {
         let selector = SelectorConfig::split(1, 1, 0).unwrap();
         let mut xbar = Crossbar::full();
         xbar.connect(0, &[5]).unwrap(); // fib lives in block 0
-        let e = compile(&slots, &selector, &xbar, &sm, &linkage, 1, None).unwrap_err();
+        let e = compile(&slots, &selector, &xbar, &sm, &linkage, 1).unwrap_err();
         assert!(matches!(e, CoreError::CrossbarViolation(_)));
     }
 
@@ -1482,7 +1489,7 @@ mod tests {
         let mut xbar = Crossbar::full();
         xbar.connect(0, &[0]).unwrap();
         xbar.connect(1, &[0]).unwrap();
-        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1, None).unwrap();
+        let cp = compile(&slots, &selector, &xbar, &sm, &linkage, 1).unwrap();
         // set_nh + NoAction, shared by both slots.
         assert_eq!(cp.actions.len(), 2);
     }

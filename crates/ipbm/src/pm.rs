@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 
 use ipsa_core::crossbar::Crossbar;
 use ipsa_core::error::CoreError;
-use ipsa_core::facts::ProgramFacts;
 use ipsa_core::pipeline_cfg::{SelectorConfig, SlotRole};
 use ipsa_netpkt::linkage::HeaderLinkage;
 use ipsa_netpkt::packet::Packet;
@@ -351,8 +350,6 @@ pub struct PipelineModule {
     compiled: Option<CompiledPath>,
     /// Reusable per-packet scratch buffers for the fast path.
     scratch: EvalScratch,
-    /// Controller-installed dataflow facts guiding the next compilation.
-    facts: Option<ProgramFacts>,
 }
 
 impl PipelineModule {
@@ -370,7 +367,6 @@ impl PipelineModule {
             epoch: 0,
             compiled: None,
             scratch: EvalScratch::default(),
-            facts: None,
         })
     }
 
@@ -394,30 +390,9 @@ impl PipelineModule {
         self.compiled.is_some()
     }
 
-    /// Installs (or clears, with `None`) controller-derived dataflow facts
-    /// and re-opens the epoch so the next compilation consumes them.
-    pub fn set_facts(&mut self, facts: Option<ProgramFacts>) {
-        self.facts = facts;
-        self.invalidate_compiled();
-    }
-
-    /// Drops any installed facts. Called when a control message the
-    /// analysis did not anticipate (anything beyond entry add/del/default)
-    /// lands, since the proofs were made against the previous design.
-    pub fn clear_facts(&mut self) {
-        if self.facts.take().is_some() {
-            self.invalidate_compiled();
-        }
-    }
-
-    /// True when dataflow facts are installed.
-    pub fn has_facts(&self) -> bool {
-        self.facts.is_some()
-    }
-
-    /// The installed facts artifact, if any.
-    pub fn facts(&self) -> Option<&ProgramFacts> {
-        self.facts.as_ref()
+    /// The compiled fast path of the current epoch, if one was built.
+    pub fn compiled(&self) -> Option<&CompiledPath> {
+        self.compiled.as_ref()
     }
 
     /// Ensures a compiled fast path exists for the current epoch. Returns
@@ -433,7 +408,6 @@ impl PipelineModule {
                 sm,
                 linkage,
                 self.epoch,
-                self.facts.as_ref(),
             )
             .ok();
         }

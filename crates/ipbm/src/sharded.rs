@@ -559,6 +559,11 @@ impl ShardedSwitch {
         Ok(())
     }
 
+    /// The compiled fast path last published to the shards, if any.
+    pub fn published(&self) -> Option<&CompiledPath> {
+        self.published.as_deref()
+    }
+
     /// Observability snapshot (the master's fold-merged view).
     pub fn report(&self) -> SwitchReport {
         self.master.report()
@@ -689,7 +694,6 @@ impl ShardedSwitch {
                 &self.master.sm,
                 &self.master.linkage,
                 pm.epoch(),
-                pm.facts(),
             )
             .ok()
             .map(Arc::new)
@@ -1033,13 +1037,6 @@ impl Device for ShardedSwitch {
                 Err(e)
             }
         }
-    }
-
-    fn install_facts(&mut self, facts: Option<ipsa_core::facts::ProgramFacts>) {
-        // The master's pipeline holds the facts; the next republish bakes
-        // them into the epoch every shard receives.
-        self.master.install_facts(facts);
-        self.dirty = true;
     }
 
     fn inject(&mut self, packet: Packet) {

@@ -21,9 +21,7 @@ use crate::tsp::SlotStats;
 
 /// An open staged control-plane transaction: one [`ApplyJournal`]
 /// accumulating undo records across every batch applied since
-/// [`IpbmSwitch::begin_staged`], plus the dataflow facts installed at that
-/// point (structural batches clear facts as they apply; a revert must put
-/// them back so the device is observably unchanged).
+/// [`IpbmSwitch::begin_staged`].
 ///
 /// This is the device half of a two-phase fleet rollout: the controller
 /// stages the update everywhere, verifies the canary, and only then commits
@@ -31,7 +29,6 @@ use crate::tsp::SlotStats;
 /// bytes it held when the transaction opened.
 pub(crate) struct StagedTxn {
     journal: ApplyJournal,
-    facts: Option<ipsa_core::facts::ProgramFacts>,
     /// Batches applied under this transaction (observability only).
     batches: u64,
 }
@@ -203,7 +200,6 @@ impl IpbmSwitch {
         }
         self.staged = Some(StagedTxn {
             journal: ApplyJournal::default(),
-            facts: self.pm.facts().cloned(),
             batches: 0,
         });
         Ok(())
@@ -232,11 +228,11 @@ impl IpbmSwitch {
     }
 
     /// Reverts the open staged transaction: every undo record captured since
-    /// [`IpbmSwitch::begin_staged`] is replayed newest-first, the facts
-    /// installed at open time are reinstated, and a new control-plane epoch
-    /// opens (the reverted state must recompile and republish). The device
-    /// is left byte-identical to the moment the transaction opened. Errors
-    /// with [`CoreError::Config`] if none is open.
+    /// [`IpbmSwitch::begin_staged`] is replayed newest-first and a new
+    /// control-plane epoch opens (the reverted state must recompile and
+    /// republish). The device is left byte-identical to the moment the
+    /// transaction opened. Errors with [`CoreError::Config`] if none is
+    /// open.
     pub fn revert_staged(&mut self) -> Result<(), CoreError> {
         let Some(txn) = self.staged.take() else {
             return Err(CoreError::Config(
@@ -245,9 +241,7 @@ impl IpbmSwitch {
         };
         txn.journal
             .rollback(&mut self.pm, &mut self.sm, &mut self.linkage);
-        // set_facts re-opens the epoch whether or not facts were installed
-        // — the pre-image state needs a fresh compile either way.
-        self.pm.set_facts(txn.facts);
+        self.pm.invalidate_compiled();
         Ok(())
     }
 
@@ -334,7 +328,7 @@ impl Device for IpbmSwitch {
         // Staged mode: undo records accumulate in the transaction's journal.
         // A mid-batch failure aborts the *whole* transaction — the journal
         // rewinds every batch applied since `begin_staged`, not just this
-        // one, and the facts installed at open time come back with it.
+        // one, and the rewound state opens a new epoch.
         match ccm::apply_msgs_journaled(
             &mut self.pm,
             &mut self.sm,
@@ -352,17 +346,13 @@ impl Device for IpbmSwitch {
                 let txn = self.staged.take().expect("staged txn is open");
                 txn.journal
                     .rollback(&mut self.pm, &mut self.sm, &mut self.linkage);
-                self.pm.set_facts(txn.facts);
+                self.pm.invalidate_compiled();
                 Err(CoreError::RolledBack {
                     index,
                     cause: Box::new(cause),
                 })
             }
         }
-    }
-
-    fn install_facts(&mut self, facts: Option<ipsa_core::facts::ProgramFacts>) {
-        self.pm.set_facts(facts);
     }
 
     fn inject(&mut self, packet: Packet) {

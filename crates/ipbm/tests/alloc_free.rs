@@ -320,7 +320,6 @@ fn shard_worker_inner_loop_does_not_allocate() {
         &sw.sm,
         &sw.linkage,
         0,
-        None,
     )
     .expect("l3 design compiles");
 

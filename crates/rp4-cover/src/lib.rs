@@ -9,8 +9,9 @@
 //!
 //! 1. **pruned** when it is provably infeasible — its constraints are
 //!    mutually contradictory, its validity assignment contradicts the
-//!    parser structure, or it runs through a matcher arm `rp4-dfa`'s
-//!    [`ProgramFacts`] proved unreachable;
+//!    parser structure, or it runs through a matcher arm the dataflow facts
+//!    ([`facts::derive`], the ones the device's fast path compiles with)
+//!    prove unreachable;
 //! 2. **concretized** into a witness packet plus the minimal table-entry
 //!    setup that drives a real device down the same path (the *coverage
 //!    corpus* — also the golden-compare oracle the native codegen backend
@@ -23,12 +24,10 @@
 //! concretizable witness, RP4403 statically-dead table action, RP4404 plan
 //! WCET regression (the [`check_plan_wcet`] gate `apply_plan` runs unless
 //! `--force`).
-//!
-//! [`ProgramFacts`]: ipsa_core::facts::ProgramFacts
 
 use std::collections::{BTreeSet, HashMap};
 
-use ipsa_core::facts::ProgramFacts;
+use ipsa_core::facts::{self, ProgramFacts};
 use ipsa_core::template::CompiledDesign;
 use ipsa_core::timing::{PacketCostModel, PathWork};
 use rp4_equiv::oracle::Key;
@@ -162,28 +161,31 @@ fn parsed_headers(decisions: &[(Key, usize)]) -> usize {
 /// Does the world run through a matcher arm the dataflow analysis proved
 /// unreachable? Facts are per merged-slot (`stage_name` keyed), exactly as
 /// the fast-path compiler consumes them.
-fn fact_pruned(facts: Option<&ProgramFacts>, arms: &[(String, usize)]) -> bool {
-    let Some(f) = facts else {
-        return false;
-    };
+fn fact_pruned(facts: &ProgramFacts, arms: &[(String, usize)]) -> bool {
     arms.iter().any(|(stage, arm)| {
-        f.slot(stage)
+        facts
+            .slot(stage)
             .is_some_and(|sf| sf.unreachable_arms.contains(arm))
     })
 }
 
 /// Enumerates every execution path of `design`, prunes the infeasible
-/// ones, concretizes a witness per feasible path, and prices each path.
+/// ones (including worlds through arms the design's [`facts::derive`]
+/// facts prove unreachable), concretizes a witness per feasible path, and
+/// prices each path.
 ///
-/// `facts` (from `rp4_dfa::design_facts`) prunes worlds through proven
-/// unreachable arms; `spans` (the checked source program, when available)
-/// anchors the diagnostics to source items.
+/// `spans` (the checked source program, when available) anchors the
+/// diagnostics to source items.
 pub fn cover_design(
     design: &CompiledDesign,
-    facts: Option<&ProgramFacts>,
     spans: Option<&Program>,
     opts: &CoverOptions,
 ) -> Coverage {
+    let facts = facts::derive(
+        &design.selector,
+        |i| design.templates.get(i).and_then(Option::as_ref),
+        &design.actions,
+    );
     let arity: HashMap<String, usize> = design
         .tables
         .iter()
@@ -195,6 +197,7 @@ pub fn cover_design(
     // RP4403.
     let mut selected: BTreeSet<(String, u32)> = BTreeSet::new();
     let mut worlds = 0usize;
+    let mut uncoverable = 0usize;
     let fallback_span = |prog: &Program| -> Option<Span> {
         prog.ingress
             .first()
@@ -224,7 +227,7 @@ pub fn cover_design(
         let decisions = oracle.decisions();
         run.work.parsed_headers = parsed_headers(&decisions);
 
-        if fact_pruned(facts, &run.arms) {
+        if fact_pruned(&facts, &run.arms) {
             cov.pruned_infeasible += 1;
         } else {
             let concretized = concretize_world(design, &decisions, &run.hits);
@@ -249,8 +252,8 @@ pub fn cover_design(
                     Err(s) => (None, Some(s)),
                 };
                 if let Some(s) = &skip {
-                    if cov.paths.iter().filter(|p| p.skip.is_some()).count() < MAX_UNCOVERABLE_DIAGS
-                    {
+                    uncoverable += 1;
+                    if uncoverable <= MAX_UNCOVERABLE_DIAGS {
                         cov.diags.push(
                             Diagnostic::warning(
                                 codes::UNCOVERABLE_PATH,
@@ -337,8 +340,8 @@ pub fn check_plan_wcet(
     post_prog: Option<&Program>,
     opts: &CoverOptions,
 ) -> Vec<Diagnostic> {
-    let pre_cov = cover_design(pre, None, None, opts);
-    let post_cov = cover_design(post, None, None, opts);
+    let pre_cov = cover_design(pre, None, opts);
+    let post_cov = cover_design(post, None, opts);
     if pre_cov.overflowed || post_cov.overflowed {
         // An incomplete enumeration cannot prove a regression; the RP4401
         // warning already surfaced through `cover_design` callers.

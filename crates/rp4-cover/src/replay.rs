@@ -128,7 +128,7 @@ mod tests {
         let c = full_compile(&prog, &CompilerTarget::ipbm()).expect("compiles");
         let mut sw = IpbmSwitch::new(IpbmConfig::default());
         sw.install(&c.design).expect("installs");
-        let cov = cover_design(&c.design, None, None, &CoverOptions::default());
+        let cov = cover_design(&c.design, None, &CoverOptions::default());
         (sw, cov)
     }
 

@@ -8,13 +8,7 @@ fn cover(src: &str) -> rp4_cover::Coverage {
     let prog = rp4_lang::parse(src).expect("bundled program parses");
     let target = rp4c::CompilerTarget::ipbm();
     let comp = rp4c::full_compile(&prog, &target).expect("bundled program compiles");
-    let facts = rp4_dfa::design_facts(&comp.design);
-    cover_design(
-        &comp.design,
-        Some(&facts),
-        Some(&comp.program),
-        &CoverOptions::default(),
-    )
+    cover_design(&comp.design, Some(&comp.program), &CoverOptions::default())
 }
 
 #[test]
@@ -69,13 +63,13 @@ fn wcet_grows_when_function_loads() {
     let comp = rp4c::full_compile(&prog, &target).unwrap();
     let device = ipbm::IpbmSwitch::new(ipbm::IpbmConfig::default());
     let (mut flow, _) = ipsa_controller::Rp4Flow::install(device, comp, target).unwrap();
-    let base = cover_design(&flow.design, None, None, &CoverOptions::default());
+    let base = cover_design(&flow.design, None, &CoverOptions::default());
     flow.run_script(
         ipsa_controller::programs::ECMP_SCRIPT,
         &ipsa_controller::programs::bundled_sources,
     )
     .unwrap();
-    let ecmp = cover_design(&flow.design, None, None, &CoverOptions::default());
+    let ecmp = cover_design(&flow.design, None, &CoverOptions::default());
     assert!(!base.overflowed && !ecmp.overflowed);
     assert!(
         ecmp.wcet_ns >= base.wcet_ns,

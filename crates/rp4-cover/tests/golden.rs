@@ -19,8 +19,7 @@ fn cover(src: &str, opts: &CoverOptions) -> rp4_cover::Coverage {
     rp4_lang::check(&prog, None).expect("fixture checks");
     let target = rp4c::CompilerTarget::ipbm();
     let comp = rp4c::full_compile(&prog, &target).expect("fixture compiles");
-    let facts = rp4_dfa::design_facts(&comp.design);
-    cover_design(&comp.design, Some(&facts), Some(&comp.program), opts)
+    cover_design(&comp.design, Some(&comp.program), opts)
 }
 
 fn assert_spanned_warning(cov: &rp4_cover::Coverage, code: &str, subject_frag: &str) {

@@ -1,31 +1,26 @@
-//! Static analysis of rP4 programs: every AST-level lint, and the
-//! design-level facts the fast path uses.
+//! Static analysis of rP4 programs: every AST-level lint.
 //!
-//! 1. **AST level** ([`analyze_program`]): one analysis over a checked
-//!    [`Program`] builds a per-stage summary once (reachable actions, what
-//!    they read and write, per-arm field uses and proven-valid headers) and
-//!    answers both lint blocks from it: the program lints RP4101, RP4102,
-//!    RP4104 and RP4106 (codes in `rp4_verify::codes`), and the dataflow
-//!    lints RP4301–RP4305 from one forward pass of abstract interpretation
-//!    ([`lattice`]) down the live stage chain. `rp4c::lint_program` runs it
-//!    in `rp4c check`, `full_compile` and CI. [`check_plan`] adds RP4306,
-//!    the plan-level regression check, as a query over the same summary.
-//! 2. **Design level** ([`design_facts`]): distills proofs about a
-//!    [`CompiledDesign`] into a serialized [`ProgramFacts`] artifact the
-//!    device's epoch compiler uses to skip statically-redundant work —
-//!    recomputed by the controller on every design change, never stale.
+//! [`analyze_program`] runs one analysis over a checked [`Program`]: it
+//! builds a per-stage summary once (reachable actions, what they read and
+//! write, per-arm field uses and proven-valid headers) and answers both lint
+//! blocks from it: the program lints RP4101, RP4102, RP4104 and RP4106
+//! (codes in `rp4_verify::codes`), and the dataflow lints RP4301–RP4305 from
+//! one forward pass of abstract interpretation ([`lattice`]) down the live
+//! stage chain. `rp4c::lint_program` runs it in `rp4c check`, `full_compile`
+//! and CI. [`check_plan`] adds RP4306, the plan-level regression check, as a
+//! query over the same summary.
+//!
+//! The design-level facts the fast path uses are not derived here: they are
+//! a function of what the device latches, so `ipsa_core::facts::derive`
+//! computes them where the fast path is compiled.
 //!
 //! [`Program`]: rp4_lang::Program
-//! [`CompiledDesign`]: ipsa_core::template::CompiledDesign
-//! [`ProgramFacts`]: ipsa_core::facts::ProgramFacts
 
-pub mod design;
 pub mod lattice;
 pub mod plan;
 pub mod program;
 mod summary;
 
-pub use design::design_facts;
 pub use plan::check_plan;
 pub use program::analyze_program;
 

@@ -8,7 +8,7 @@
 //! | architecture | [`core`] | TSP templates, action VM, tables, memory pool, crossbar |
 //! | languages | [`rp4_lang`], [`p4_lang`] | rP4 (Fig. 2 EBNF) and a P4-16 subset + HLIR |
 //! | compilers | [`rp4c`] | rp4fc (P4→rP4) and rp4bc (full + incremental) |
-//! | analysis | [`rp4_dfa`], [`rp4_equiv`], [`rp4_cover`] | dataflow facts; translation validation; path coverage + WCET bounds |
+//! | analysis | [`rp4_dfa`], [`rp4_equiv`], [`rp4_cover`] | AST lints (RP41xx, RP43xx); translation validation; path coverage + WCET bounds |
 //! | devices | [`ipbm`], [`pisa_bm`] | the IPSA software switch and the PISA baseline |
 //! | hardware | [`hwmodel`] | the FPGA resource/power/throughput model |
 //! | control | [`controller`] | scripts, table APIs, the two design flows |

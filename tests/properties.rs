@@ -226,13 +226,12 @@ proptest! {
         }
     }
 
-    /// Fact-guided compilation is exact: with the controller-installed
-    /// `ProgramFacts` driving the epoch compiler (parse elision, arm
-    /// pruning, dead-store no-ops, header-locator memoization), the fast
-    /// path's outputs AND statistics stay bit-identical to the
-    /// interpreter — across every bundled program and across a mid-stream
-    /// in-situ update, which clears the facts and reinstalls a freshly
-    /// recomputed artifact.
+    /// Fact-guided compilation is exact: with the derived `ProgramFacts`
+    /// driving the epoch compiler (parse elision, arm pruning, dead-store
+    /// no-ops, header-locator memoization), the fast path's outputs AND
+    /// statistics stay bit-identical to the interpreter — across every
+    /// bundled program and across a mid-stream in-situ update, after which
+    /// the device derives facts for the updated state.
     #[test]
     fn fact_guided_fast_path_matches_interpreter(
         seed in 0u64..500,
@@ -245,10 +244,6 @@ proptest! {
         let sources = rp4::controller::programs::bundled_sources;
         let mut interp = demo::populated_base_flow().unwrap();
         let mut fast = demo::populated_base_flow().unwrap();
-        prop_assert!(
-            fast.device.pm.has_facts(),
-            "controller must install dataflow facts alongside the design"
-        );
 
         let mut gen_i = TrafficGen::new(seed).with_flows(flows as u32).with_v6_percent(v6);
         let mut gen_f = TrafficGen::new(seed).with_flows(flows as u32).with_v6_percent(v6);
@@ -261,9 +256,8 @@ proptest! {
         prop_assert!(fast.device.pm.has_compiled(), "fast path must compile, not fall back");
 
         if let Some(which) = which {
-            // In-situ update through the controller: structural messages
-            // drop the old facts on-device, and the controller reinstalls
-            // an artifact recomputed against the updated design.
+            // In-situ update through the controller: the structural batch
+            // opens an epoch, and its compile derives the new facts.
             let (_, _, script, _) = rp4::controller::programs::use_cases()[which];
             interp.run_script(script, &sources).unwrap();
             fast.run_script(script, &sources).unwrap();
@@ -271,10 +265,6 @@ proptest! {
                 interp.run_script(&demo::ecmp_population_script(), &sources).unwrap();
                 fast.run_script(&demo::ecmp_population_script(), &sources).unwrap();
             }
-            prop_assert!(
-                fast.device.pm.has_facts(),
-                "facts must be reinstalled after the in-situ update"
-            );
         }
 
         for p in gen_i.batch(n2) { interp.device.inject(p); }
