@@ -25,6 +25,7 @@ pub mod error;
 pub mod facts;
 pub mod hash;
 pub mod intern;
+mod lpm;
 pub mod memory;
 pub mod pipeline_cfg;
 pub mod predicate;

@@ -7,7 +7,11 @@
 //!
 //! The [`Table`] struct is the *software index*; the authoritative entry
 //! storage lives in the disaggregated memory pool (see [`crate::memory`]),
-//! which the storage module keeps in sync.
+//! which the storage module keeps in sync. Exact tables index by a hash of
+//! the full key; LPM tables by one bitmap multibit trie over the whole key,
+//! exact fields included (see `lpm.rs`); ternary tables keep a priority
+//! order and selectors a member list. The exact and LPM indices are a pure
+//! function of the live rows.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -18,6 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::hash::hash_values;
+use crate::lpm::LpmTrie;
 use crate::value::{EvalCtx, ValueRef};
 
 /// How a key field matches.
@@ -203,10 +208,10 @@ pub struct HitLite {
     pub counter: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum IndexMode {
     Exact,
-    Lpm { lpm_pos: usize },
+    Lpm(Box<LpmTrie>),
     Ternary,
     Selector,
 }
@@ -214,21 +219,18 @@ enum IndexMode {
 /// The exact pre-image of one entry operation on a [`Table`], taken by
 /// [`Table::checkpoint_row`] and replayed by [`Table::restore_row`]: the
 /// row the key touches (its displaced content, counter included), the row
-/// slab's length, the free-row heap, the live and twin-shadow counts, the
-/// holder of the key's index slot, and the row's position in the
-/// ternary/selector order. Apart from a displaced entry it holds no heap
-/// data: a journal keeps one per entry operation, and per-operation
-/// allocations living until the batch ends would scatter the entries a
-/// bulk load installs across the heap.
+/// slab's length, the free-row heap, the live count, and the row's
+/// position in the ternary/selector order. The exact and LPM indices need
+/// nothing: they are a function of the live rows. Apart from a displaced
+/// entry it holds no heap data: a journal keeps one per entry operation,
+/// and per-operation allocations living until the batch ends would scatter
+/// the entries a bulk load installs across the heap.
 #[derive(Debug, Clone)]
 pub struct RowCheckpoint {
     row: usize,
     prev: Option<TableEntry>,
     rows_len: usize,
     live: usize,
-    lpm_shadowed: usize,
-    /// Row that held the key's index slot (exact and LPM tables).
-    holder: Option<usize>,
     /// Position of `row` in `tern_order` / `members`.
     order_pos: Option<usize>,
 }
@@ -257,15 +259,10 @@ pub struct Table {
     hit_tags: Vec<(u32, u32)>,
     hit_args: Vec<u128>,
     arg_stride: usize,
+    /// Which index the table keeps; LPM tables hold their trie here.
     mode: IndexMode,
     /// Exact tables: full key -> row.
     exact_idx: HashMap<Vec<u128>, usize>,
-    /// LPM tables: prefix_len -> (masked key vector -> row); probed from the
-    /// longest installed prefix down, like per-length hash tables in real
-    /// forwarding planes.
-    lpm_idx: HashMap<usize, HashMap<Vec<u128>, usize>>,
-    /// Installed prefix lengths, kept sorted descending.
-    lpm_lens: Vec<usize>,
     /// Ternary tables: rows sorted by (priority desc, row asc).
     tern_order: Vec<usize>,
     /// Selector tables: live rows in insertion order.
@@ -276,11 +273,6 @@ pub struct Table {
     /// Freed row slots, min-first so the lowest free row is always reused
     /// (the same slot `position(|r| r.is_none())` used to find by scanning).
     free_rows: BinaryHeap<Reverse<usize>>,
-    /// Count of live LPM rows whose index slot is held by a non-canonical
-    /// twin (same masked prefix, different don't-care bits). Zero for
-    /// canonical route sets, which keeps exact-key searches index-only;
-    /// nonzero forces the slab-scan fallback so twins stay reachable.
-    lpm_shadowed: usize,
     /// Lookup counters (observability; also feeds the throughput model).
     pub lookups: u64,
     /// Hits among `lookups`.
@@ -304,9 +296,10 @@ impl Table {
                 .collect();
             match lpm_fields.len() {
                 0 => IndexMode::Exact,
-                1 => IndexMode::Lpm {
-                    lpm_pos: lpm_fields[0],
-                },
+                1 => {
+                    let widths: Vec<usize> = def.key.iter().map(|k| k.bits).collect();
+                    IndexMode::Lpm(Box::new(LpmTrie::new(&widths, lpm_fields[0])))
+                }
                 n => {
                     return Err(CoreError::Config(format!(
                         "table `{}` has {n} LPM fields; at most 1 supported",
@@ -329,13 +322,10 @@ impl Table {
             arg_stride: 0,
             mode,
             exact_idx: HashMap::new(),
-            lpm_idx: HashMap::new(),
-            lpm_lens: Vec::new(),
             tern_order: Vec::new(),
             members: Vec::new(),
             live: 0,
             free_rows: BinaryHeap::new(),
-            lpm_shadowed: 0,
             lookups: 0,
             hits: 0,
         })
@@ -456,39 +446,6 @@ impl Table {
             .collect()
     }
 
-    /// Canonical `(prefix_len, masked key vector)` an LPM key indexes
-    /// under. `None` when the key cannot be in the index at all (wrong
-    /// variant at the LPM position, or an out-of-width prefix length) —
-    /// which also means no validated row can equal it.
-    fn lpm_index_key_of(&self, key: &[KeyMatch], lpm_pos: usize) -> Option<(usize, Vec<u128>)> {
-        let bits = self.def.key[lpm_pos].bits;
-        let (plen, masked) = match &key[lpm_pos] {
-            KeyMatch::Lpm { value, prefix_len } if *prefix_len <= bits => {
-                let mask = if *prefix_len == 0 {
-                    0
-                } else {
-                    width_mask(bits) & !(width_mask(bits - *prefix_len))
-                };
-                (*prefix_len, *value & mask)
-            }
-            _ => return None,
-        };
-        let mut vals = Self::key_values(key);
-        vals[lpm_pos] = masked;
-        Some((plen, vals))
-    }
-
-    /// The index slot `key` maps to: `(prefix_len, key vector)` in LPM
-    /// mode, `(0, key values)` in exact mode, `None` for ternary/selector
-    /// tables (no keyed index) or an LPM key that cannot be indexed.
-    fn index_slot_of(&self, key: &[KeyMatch]) -> Option<(usize, Vec<u128>)> {
-        match self.mode {
-            IndexMode::Exact => Some((0, Self::key_values(key))),
-            IndexMode::Lpm { lpm_pos } => self.lpm_index_key_of(key, lpm_pos),
-            IndexMode::Ternary | IndexMode::Selector => None,
-        }
-    }
-
     /// Row whose installed key equals `key` exactly, routed through the
     /// acceleration index (exact/LPM) instead of a full-slab scan — the
     /// scan made bulk loads and `delete` at FIB scale O(n) per operation.
@@ -508,20 +465,9 @@ impl Table {
                 let row = self.exact_idx.get(&Self::key_values(key)).copied()?;
                 key_eq(row).then_some(row)
             }
-            IndexMode::Lpm { lpm_pos } => {
-                let (plen, vals) = self.lpm_index_key_of(key, *lpm_pos)?;
-                match self.lpm_idx.get(&plen).and_then(|m| m.get(&vals)).copied() {
-                    Some(r) if key_eq(r) => Some(r),
-                    // Index miss, or the slot is held by a non-canonical
-                    // twin of the query. Shadowed rows are only reachable
-                    // by scanning; when none exist (canonical route sets —
-                    // the hot case) the index answer is authoritative.
-                    _ if self.lpm_shadowed > 0 => {
-                        self.iter().find(|(_, e)| e.key == key).map(|(r, _)| r)
-                    }
-                    _ => None,
-                }
-            }
+            // The slot holds the key's twins too: same prefix, other
+            // don't-care bits.
+            IndexMode::Lpm(trie) => trie.slot_rows(key).find(|&r| key_eq(r)),
             IndexMode::Ternary | IndexMode::Selector => {
                 self.iter().find(|(_, e)| e.key == key).map(|(r, _)| r)
             }
@@ -533,48 +479,21 @@ impl Table {
         self.find_row_by_key(&entry.key)
     }
 
-    /// Longest-prefix match by full scan: the fallback when non-canonical
-    /// twins exist (`lpm_shadowed > 0`), since shadowed rows have no index
-    /// slot and the per-length probe cannot see them. Ties at the best
-    /// length resolve to the lowest row, deterministically for every
-    /// caller. Canonical route sets never take this path.
-    fn lpm_scan(&self, vals: &[u128], lpm_pos: usize, bits: usize) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (prefix_len, row)
-        for (row, e) in self.iter() {
-            let mut plen = 0usize;
-            let covers = e.key.iter().enumerate().all(|(i, km)| {
-                if i == lpm_pos {
-                    match km {
-                        KeyMatch::Lpm { value, prefix_len } => {
-                            plen = *prefix_len;
-                            let mask = if *prefix_len == 0 {
-                                0
-                            } else {
-                                width_mask(bits) & !(width_mask(bits - prefix_len))
-                            };
-                            vals[i] & mask == *value & mask
-                        }
-                        _ => false,
-                    }
-                } else {
-                    matches!(km, KeyMatch::Exact(x) if *x == vals[i])
-                }
-            });
-            if covers && best.is_none_or(|(bp, _)| plen > bp) {
-                best = Some((plen, row));
-            }
-        }
-        best.map(|(_, row)| row)
-    }
-
     /// Inserts (or replaces) an entry. Returns its row.
     pub fn insert(&mut self, mut entry: TableEntry) -> Result<usize, CoreError> {
         self.validate_key(&entry)?;
         entry.counter = 0;
         if let Some(row) = self.existing_row(&entry) {
-            self.remove_row_from_index(row);
+            // An identical key keeps its exact/LPM slot; only the priority
+            // order and the member list depend on more than the key.
+            let reorder = matches!(self.mode, IndexMode::Ternary | IndexMode::Selector);
+            if reorder {
+                self.remove_row_from_index(row);
+            }
             self.place(row, entry);
-            self.add_row_to_index(row);
+            if reorder {
+                self.add_row_to_index(row);
+            }
             return Ok(row);
         }
         if self.live >= self.def.size {
@@ -649,39 +568,22 @@ impl Table {
         self.hit_tags.clear();
         self.hit_args.clear();
         self.exact_idx.clear();
-        self.lpm_idx.clear();
-        self.lpm_lens.clear();
+        if let IndexMode::Lpm(trie) = &mut self.mode {
+            trie.clear();
+        }
         self.tern_order.clear();
         self.members.clear();
         self.live = 0;
         self.free_rows.clear();
-        self.lpm_shadowed = 0;
     }
 
     fn add_row_to_index(&mut self, row: usize) {
         let key = &self.rows[row].as_ref().expect("row just set").key;
-        match self.mode {
+        match &mut self.mode {
             IndexMode::Exact => {
                 self.exact_idx.insert(Self::key_values(key), row);
             }
-            IndexMode::Lpm { lpm_pos } => {
-                let (plen, key) = self
-                    .lpm_index_key_of(key, lpm_pos)
-                    .expect("validated LPM entry");
-                if let Some(old) = self.lpm_idx.entry(plen).or_default().insert(key, row) {
-                    if old != row {
-                        // A non-canonical twin (same masked prefix,
-                        // different don't-care bits) just lost its index
-                        // slot; it stays live but can only be found by
-                        // scanning.
-                        self.lpm_shadowed += 1;
-                    }
-                }
-                if !self.lpm_lens.contains(&plen) {
-                    self.lpm_lens.push(plen);
-                    self.lpm_lens.sort_unstable_by(|a, b| b.cmp(a));
-                }
-            }
+            IndexMode::Lpm(trie) => trie.insert(key, row),
             IndexMode::Ternary => {
                 self.tern_order.push(row);
                 let rows = &self.rows;
@@ -697,63 +599,16 @@ impl Table {
     }
 
     fn remove_row_from_index(&mut self, row: usize) {
-        let Some(e) = self.rows[row].as_ref() else {
+        let Some(e) = self.rows.get(row).and_then(Option::as_ref) else {
             return;
         };
-        match self.mode {
+        match &mut self.mode {
             IndexMode::Exact => {
                 self.exact_idx.remove(&Self::key_values(&e.key));
             }
-            IndexMode::Lpm { lpm_pos } => {
-                let (plen, key) = self
-                    .lpm_index_key_of(&e.key, lpm_pos)
-                    .expect("validated LPM entry");
-                if self
-                    .lpm_idx
-                    .get(&plen)
-                    .and_then(|m| m.get(&key))
-                    .is_some_and(|&r| r == row)
-                {
-                    self.set_index_slot(plen, key, None);
-                } else {
-                    // The slot belongs to a twin (or is gone): this row was
-                    // one of the shadowed ones.
-                    self.lpm_shadowed -= 1;
-                }
-            }
+            IndexMode::Lpm(trie) => trie.remove(&e.key, row),
             IndexMode::Ternary => self.tern_order.retain(|&r| r != row),
             IndexMode::Selector => self.members.retain(|&r| r != row),
-        }
-    }
-
-    /// Points one index slot at `holder` (or empties it), keeping
-    /// `lpm_lens` equal to the installed prefix lengths. `plen` is ignored
-    /// in exact mode.
-    fn set_index_slot(&mut self, plen: usize, key: Vec<u128>, holder: Option<usize>) {
-        match (self.mode, holder) {
-            (IndexMode::Exact, Some(r)) => {
-                self.exact_idx.insert(key, r);
-            }
-            (IndexMode::Exact, None) => {
-                self.exact_idx.remove(&key);
-            }
-            (IndexMode::Lpm { .. }, Some(r)) => {
-                self.lpm_idx.entry(plen).or_default().insert(key, r);
-                if !self.lpm_lens.contains(&plen) {
-                    self.lpm_lens.push(plen);
-                    self.lpm_lens.sort_unstable_by(|a, b| b.cmp(a));
-                }
-            }
-            (IndexMode::Lpm { .. }, None) => {
-                if let Some(m) = self.lpm_idx.get_mut(&plen) {
-                    m.remove(&key);
-                    if m.is_empty() {
-                        self.lpm_idx.remove(&plen);
-                        self.lpm_lens.retain(|&l| l != plen);
-                    }
-                }
-            }
-            (IndexMode::Ternary | IndexMode::Selector, _) => {}
         }
     }
 
@@ -764,33 +619,20 @@ impl Table {
     /// [`Table::restore_row`] replays the checkpoint exactly, whether the
     /// operation succeeded, failed, or never ran.
     pub fn checkpoint_row(&self, key: &[KeyMatch]) -> RowCheckpoint {
-        let holder = self
-            .index_slot_of(key)
-            .and_then(|(plen, k)| match self.mode {
-                IndexMode::Lpm { .. } => self.lpm_idx.get(&plen)?.get(&k).copied(),
-                _ => self.exact_idx.get(&k).copied(),
-            });
-        // `find_row_by_key`, reusing the slot probe just made.
-        let row = match holder {
-            Some(h) if self.rows[h].as_ref().is_some_and(|e| e.key == key) => Some(h),
-            _ if matches!(self.mode, IndexMode::Exact) => None,
-            _ if matches!(self.mode, IndexMode::Lpm { .. }) && self.lpm_shadowed == 0 => None,
-            _ => self.find_row_by_key(key),
-        }
-        .or_else(|| self.free_rows.peek().map(|r| r.0))
-        .unwrap_or(self.rows.len());
+        let row = self
+            .find_row_by_key(key)
+            .or_else(|| self.free_rows.peek().map(|r| r.0))
+            .unwrap_or(self.rows.len());
         let order = match self.mode {
             IndexMode::Ternary => &self.tern_order[..],
             IndexMode::Selector => &self.members[..],
-            IndexMode::Exact | IndexMode::Lpm { .. } => &[],
+            IndexMode::Exact | IndexMode::Lpm(_) => &[],
         };
         RowCheckpoint {
             row,
             prev: self.rows.get(row).cloned().flatten(),
             rows_len: self.rows.len(),
             live: self.live,
-            lpm_shadowed: self.lpm_shadowed,
-            holder,
             order_pos: order.iter().position(|&r| r == row),
         }
     }
@@ -804,18 +646,15 @@ impl Table {
             prev,
             rows_len,
             live,
-            lpm_shadowed,
-            holder,
             order_pos,
         } = cp;
-        // The operation's key is on the row now (insert, replace) or was
-        // (delete); when on neither, the operation changed no index slot.
-        let slot = self
-            .rows
-            .get(row)
-            .and_then(Option::as_ref)
-            .or(prev.as_ref())
-            .and_then(|e| self.index_slot_of(&e.key));
+        // The exact and LPM indices follow the live rows: un-index what the
+        // row holds now, re-index what it held.
+        let keyed = matches!(self.mode, IndexMode::Exact | IndexMode::Lpm(_));
+        if keyed {
+            self.remove_row_from_index(row);
+        }
+        let reindex = keyed && prev.is_some();
         let free_now = self.rows.get(row).is_some_and(Option::is_none);
         let free_before = row < rows_len && prev.is_none();
         match prev {
@@ -832,14 +671,13 @@ impl Table {
             _ => {}
         }
         self.live = live;
-        self.lpm_shadowed = lpm_shadowed;
-        if let Some((plen, key)) = slot {
-            self.set_index_slot(plen, key, holder);
+        if reindex {
+            self.add_row_to_index(row);
         }
         let order = match self.mode {
             IndexMode::Ternary => &mut self.tern_order,
             IndexMode::Selector => &mut self.members,
-            IndexMode::Exact | IndexMode::Lpm { .. } => return,
+            IndexMode::Exact | IndexMode::Lpm(_) => return,
         };
         if let Some(i) = order.iter().position(|&r| r == row) {
             order.remove(i);
@@ -875,50 +713,23 @@ impl Table {
         self.lookups += 1;
     }
 
-    /// Matches already-read key values, incrementing the hit counters the
-    /// same way [`Table::lookup`] does. `vals` is `None` when a key source
-    /// header was absent (guaranteed miss). `probe` is caller-owned scratch
-    /// reused across packets so LPM probing does not allocate.
+    /// Matches already-read key values (one per key field, in declaration
+    /// order), incrementing the hit counters the same way [`Table::lookup`]
+    /// does. `vals` is `None` when a key source header was absent
+    /// (guaranteed miss). No match allocates. An LPM hit is the lowest
+    /// live row at the longest matching prefix. `probe` is unused: the
+    /// LPM walk needs no buffer. It stays for callers that still pass one.
     ///
     /// The caller must have called [`Table::begin_lookup`] first.
     pub fn match_prepared(
         &mut self,
         vals: Option<&[u128]>,
-        probe: &mut Vec<u128>,
+        _probe: &mut Vec<u128>,
     ) -> Option<HitLite> {
         let vals = vals?;
         let row = match &self.mode {
             IndexMode::Exact => self.exact_idx.get(vals).copied(),
-            IndexMode::Lpm { lpm_pos } => {
-                let lpm_pos = *lpm_pos;
-                let bits = self.def.key[lpm_pos].bits;
-                if self.lpm_shadowed > 0 {
-                    // Twin regime: shadowed rows are invisible to the
-                    // index, so longest-prefix must be resolved by scan.
-                    self.lpm_scan(vals, lpm_pos, bits)
-                } else {
-                    probe.clear();
-                    probe.extend_from_slice(vals);
-                    let mut found = None;
-                    for &plen in &self.lpm_lens {
-                        let mask = if plen == 0 {
-                            0
-                        } else {
-                            width_mask(bits) & !(width_mask(bits - plen))
-                        };
-                        probe[lpm_pos] = vals[lpm_pos] & mask;
-                        if let Some(&r) = self
-                            .lpm_idx
-                            .get(&plen)
-                            .and_then(|m| m.get(probe.as_slice()))
-                        {
-                            found = Some(r);
-                            break;
-                        }
-                    }
-                    found
-                }
-            }
+            IndexMode::Lpm(trie) => trie.lookup(vals),
             IndexMode::Ternary => self.tern_order.iter().copied().find(|&r| {
                 let e = self.rows[r].as_ref().expect("indexed row live");
                 e.key.iter().zip(vals).all(|(km, &v)| match km {
@@ -958,87 +769,23 @@ impl Table {
         }
     }
 
-    /// Single-field variant of [`Table::match_prepared`]: probes the index
-    /// with borrowed stack arrays instead of heap `Vec<u128>` keys (the
-    /// `HashMap<Vec<u128>, _>` indices answer `&[u128]` probes via
-    /// `Borrow`), so the common one-field FIB shape matches with zero heap
-    /// allocation. `val` is `None` when the key source header was absent
-    /// (guaranteed miss). Semantics are pinned to `match_prepared` by the
-    /// table-oracle differential suite.
-    ///
-    /// The caller must have called [`Table::begin_lookup`] first, and the
-    /// table's key must have exactly one field.
-    pub fn match_single(&mut self, val: Option<u128>) -> Option<HitLite> {
-        debug_assert_eq!(
-            self.def.key.len(),
-            1,
-            "match_single requires a single-field key"
-        );
-        let v = val?;
-        let vals = [v];
-        let row = match &self.mode {
-            IndexMode::Exact => self.exact_idx.get(&vals[..]).copied(),
-            IndexMode::Lpm { .. } => {
-                let bits = self.def.key[0].bits;
-                if self.lpm_shadowed > 0 {
-                    self.lpm_scan(&vals, 0, bits)
-                } else {
-                    let mut found = None;
-                    for &plen in &self.lpm_lens {
-                        let mask = if plen == 0 {
-                            0
-                        } else {
-                            width_mask(bits) & !(width_mask(bits - plen))
-                        };
-                        let probe = [v & mask];
-                        if let Some(&r) = self.lpm_idx.get(&plen).and_then(|m| m.get(&probe[..])) {
-                            found = Some(r);
-                            break;
-                        }
-                    }
-                    found
-                }
-            }
-            IndexMode::Ternary => self.tern_order.iter().copied().find(|&r| {
-                let e = self.rows[r].as_ref().expect("indexed row live");
-                e.key.iter().zip(&vals).all(|(km, &v)| match km {
-                    KeyMatch::Exact(x) => *x == v,
-                    KeyMatch::Ternary { value, mask } => v & *mask == *value,
-                    KeyMatch::Lpm { .. } => false,
-                })
-            }),
-            IndexMode::Selector => {
-                if self.members.is_empty() {
-                    None
-                } else {
-                    let h = hash_values(&vals);
-                    Some(self.members[(h % self.members.len() as u64) as usize])
-                }
-            }
-        }?;
-        Some(self.finish_hit(row))
-    }
-
     /// Performs a lookup, incrementing the matched entry's counter when the
     /// table keeps counters. `Ok(None)` is a miss (run the default action).
     pub fn lookup(&mut self, pkt: &Packet, ctx: &EvalCtx<'_>) -> Result<Option<Hit>, CoreError> {
         self.begin_lookup();
-        // Single-field keys (the common FIB shape) take the borrowed-key
-        // probe: one direct source read and stack-array index probes, no
-        // per-lookup key/probe vectors.
-        let single = match &self.def.key[..] {
-            [k] => Some(k.source.read(pkt, ctx)?.map(|v| v & width_mask(k.bits))),
-            _ => None,
-        };
-        let lite = match single {
-            Some(val) => self.match_single(val),
-            None => {
-                let vals = self.read_key(pkt, ctx)?;
-                let mut probe = Vec::new();
-                self.match_prepared(vals.as_deref(), &mut probe)
+        // A single-field key is read onto the stack: no key vector.
+        let (one, many);
+        let vals = match &self.def.key[..] {
+            [k] => {
+                one = k.source.read(pkt, ctx)?.map(|v| v & width_mask(k.bits));
+                one.as_ref().map(std::slice::from_ref)
+            }
+            _ => {
+                many = self.read_key(pkt, ctx)?;
+                many.as_deref()
             }
         };
-        let Some(lite) = lite else {
+        let Some(lite) = self.match_prepared(vals, &mut Vec::new()) else {
             return Ok(None);
         };
         let entry = self.rows[lite.row].as_ref().expect("row live");
@@ -1491,21 +1238,23 @@ mod tests {
     }
 
     #[test]
-    fn match_single_agrees_with_match_prepared() {
+    fn match_prepared_agrees_with_lookup() {
         let mut t = Table::new(lpm_def()).unwrap();
         t.insert(lpm_entry(0x0a00_0000, 8, 1)).unwrap();
         t.insert(lpm_entry(0x0a01_0000, 16, 2)).unwrap();
         t.insert(lpm_entry(0, 0, 9)).unwrap();
         let mut probe = Vec::new();
-        for dst in [0x0a01_0203u128, 0x0a05_0503, 0x0b00_0001, 0x0a01_0000] {
+        for dst in [0x0a01_0203u32, 0x0a05_0503, 0x0b00_0001, 0x0a01_0000] {
             t.begin_lookup();
-            let a = t.match_prepared(Some(&[dst]), &mut probe).map(|h| h.row);
-            t.begin_lookup();
-            let b = t.match_single(Some(dst)).map(|h| h.row);
-            assert_eq!(a, b, "dst {dst:#x}");
+            let a = t
+                .match_prepared(Some(&[u128::from(dst)]), &mut probe)
+                .map(|h| h.row);
+            let (linkage, p) = pkt(dst, 1);
+            let b = t.lookup(&p, &EvalCtx::bare(&linkage)).unwrap();
+            assert_eq!(a, b.map(|h| h.row), "dst {dst:#x}");
         }
         t.begin_lookup();
-        assert!(t.match_single(None).is_none());
+        assert!(t.match_prepared(None, &mut probe).is_none());
 
         let mut e = Table::new(exact_def()).unwrap();
         e.insert(TableEntry::exact(vec![7], ActionCall::no_action()))
@@ -1513,9 +1262,10 @@ mod tests {
         for v in [7u128, 8] {
             e.begin_lookup();
             let a = e.match_prepared(Some(&[v]), &mut probe).map(|h| h.row);
-            e.begin_lookup();
-            let b = e.match_single(Some(v)).map(|h| h.row);
-            assert_eq!(a, b, "val {v}");
+            let (linkage, mut p) = pkt(1, 1);
+            p.meta.set("nexthop", v);
+            let b = e.lookup(&p, &EvalCtx::bare(&linkage)).unwrap();
+            assert_eq!(a, b.map(|h| h.row), "val {v}");
         }
     }
 

@@ -1,10 +1,10 @@
 //! Differential suite pinning the table layer's indexed lookup/delete
-//! paths (exact, LPM — including the borrowed-key `match_single` probe —
+//! paths (exact, LPM — single-field and the FIB's `{exact, lpm}` shape —
 //! and ternary) against a naive full-scan oracle, under interleaved
 //! insert/delete churn.
 //!
-//! The acceleration indices (`exact_idx`, the per-length `lpm_idx`, the
-//! live-count, the freed-row heap, the twin-shadow counter) are pure
+//! The acceleration indices (`exact_idx`, the LPM trie with its twin
+//! chains, the live-count, the freed-row heap) are pure
 //! performance structure: this suite is the proof that none of them change
 //! observable semantics. Key sets are drawn from small domains so churn
 //! constantly collides — replacements, re-inserted deleted keys, and
@@ -15,6 +15,7 @@ use ipsa_core::error::CoreError;
 use ipsa_core::table::{ActionCall, KeyField, KeyMatch, MatchKind, Table, TableDef, TableEntry};
 use ipsa_core::value::ValueRef;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// One churn-stream operation.
 #[derive(Debug, Clone)]
@@ -115,13 +116,215 @@ fn lpm_entry(v: u32, p: usize, seq: u128) -> TableEntry {
     }
 }
 
+/// One churn-stream operation on a two-field `{exact, lpm}` table, drawn
+/// as domain indices that each [`FibShape`] maps to its own field values.
+#[derive(Debug, Clone)]
+enum FibOp {
+    Insert {
+        x: u128,
+        v: (u32, u32, u32),
+        p: usize,
+    },
+    Delete {
+        x: u128,
+        v: (u32, u32, u32),
+        p: usize,
+    },
+    Lookup {
+        x: u128,
+        v: (u32, u32, u32),
+    },
+}
+
+fn fib_op_strategy() -> impl Strategy<Value = FibOp> {
+    // VRF in {1, 2}; the value is (high, middle, low) bit-group indices so
+    // each shape spreads them across its own width, and the low group sits
+    // under every prefix but the full-width one (twins).
+    let x = || 1u128..3;
+    let v = || (0u32..4, 0u32..2, 0u32..4);
+    let ins = move || (x(), v(), 0usize..5).prop_map(|(x, v, p)| FibOp::Insert { x, v, p });
+    let del = move || (x(), v(), 0usize..5).prop_map(|(x, v, p)| FibOp::Delete { x, v, p });
+    let get = move || (x(), v()).prop_map(|(x, v)| FibOp::Lookup { x, v });
+    prop_oneof![ins(), ins(), ins(), del(), del(), get(), get()]
+}
+
+/// A FIB key shape: exact-field width, LPM-field width, where the LPM
+/// field sits, how a value index spreads over the LPM width, and the five
+/// prefix lengths a prefix index picks from.
+struct FibShape {
+    exact_bits: usize,
+    lpm_bits: usize,
+    lpm_first: bool,
+    value: fn((u32, u32, u32)) -> u128,
+    plens: [usize; 5],
+}
+
+impl FibShape {
+    fn def(&self, size: usize) -> TableDef {
+        let exact = KeyField {
+            source: ValueRef::Meta("vrf".into()),
+            bits: self.exact_bits,
+            kind: MatchKind::Exact,
+        };
+        let lpm = KeyField {
+            source: ValueRef::field("ipv6", "dst_addr"),
+            bits: self.lpm_bits,
+            kind: MatchKind::Lpm,
+        };
+        TableDef {
+            name: "fib".into(),
+            key: if self.lpm_first {
+                vec![lpm, exact]
+            } else {
+                vec![exact, lpm]
+            },
+            size,
+            actions: vec!["act".into()],
+            default_action: ActionCall::no_action(),
+            with_counters: false,
+        }
+    }
+
+    fn key(&self, x: u128, v: u128, p: usize) -> Vec<KeyMatch> {
+        let lpm = KeyMatch::Lpm {
+            value: v,
+            prefix_len: p,
+        };
+        if self.lpm_first {
+            vec![lpm, KeyMatch::Exact(x)]
+        } else {
+            vec![KeyMatch::Exact(x), lpm]
+        }
+    }
+
+    fn vals(&self, x: u128, v: u128) -> [u128; 2] {
+        if self.lpm_first {
+            [v, x]
+        } else {
+            [x, v]
+        }
+    }
+
+    /// Prefix length of `key` if it covers the lookup `(x, v)`.
+    fn covers(&self, key: &[KeyMatch], x: u128, v: u128) -> Option<usize> {
+        let (lpm, exact) = if self.lpm_first {
+            (&key[0], &key[1])
+        } else {
+            (&key[1], &key[0])
+        };
+        match (lpm, exact) {
+            (KeyMatch::Lpm { value, prefix_len }, KeyMatch::Exact(e)) if *e == x => {
+                let p = *prefix_len;
+                (p == 0 || (value ^ v) >> (self.lpm_bits - p) == 0).then_some(p)
+            }
+            _ => None,
+        }
+    }
+
+    /// Runs one churn stream against the full-scan oracle.
+    fn check(&self, ops: &[FibOp]) -> Result<(), TestCaseError> {
+        let mut t = Table::new(self.def(12)).unwrap();
+        let mut o = Oracle {
+            entries: Vec::new(),
+            size: 12,
+        };
+        let mut probe = Vec::new();
+        for (seq, op) in ops.iter().enumerate() {
+            match *op {
+                FibOp::Insert { x, v, p } => {
+                    let e = TableEntry {
+                        key: self.key(x, (self.value)(v), self.plens[p]),
+                        priority: 0,
+                        action: ActionCall::new("act", vec![seq as u128]),
+                        counter: 0,
+                    };
+                    match (t.insert(e.clone()), o.insert(e)) {
+                        (Ok(_), Ok(())) | (Err(CoreError::TableFull { .. }), Err(())) => {}
+                        (got, want) => {
+                            prop_assert!(false, "insert: table {got:?}, oracle {want:?}");
+                        }
+                    }
+                }
+                FibOp::Delete { x, v, p } => {
+                    let key = self.key(x, (self.value)(v), self.plens[p]);
+                    prop_assert_eq!(t.delete(&key).is_ok(), o.delete(&key).is_ok());
+                }
+                FibOp::Lookup { x, v } => {
+                    let v = (self.value)(v);
+                    t.begin_lookup();
+                    let got = t
+                        .match_prepared(Some(&self.vals(x, v)), &mut probe)
+                        .map(|h| h.row);
+                    let best = o
+                        .entries
+                        .iter()
+                        .filter_map(|e| self.covers(&e.key, x, v))
+                        .max();
+                    match (got, best) {
+                        (None, None) => {}
+                        (Some(row), Some(best)) => {
+                            let hit = self.covers(&t.row(row).unwrap().key, x, v);
+                            prop_assert_eq!(hit, Some(best), "hit at wrong prefix length");
+                            // Twin tie-break: the lowest live row at the best
+                            // length answers.
+                            let lowest = t
+                                .iter()
+                                .filter(|(_, e)| self.covers(&e.key, x, v) == Some(best))
+                                .map(|(r, _)| r)
+                                .min();
+                            prop_assert_eq!(Some(row), lowest, "twin tie-break");
+                        }
+                        (got, want) => prop_assert!(
+                            false,
+                            "hit/miss divergence: table {got:?}, oracle best {want:?}"
+                        ),
+                    }
+                }
+            }
+            prop_assert_eq!(t.len(), o.entries.len(), "live count diverged");
+        }
+        Ok(())
+    }
+}
+
 proptest! {
+    /// The FIB's real key shape, `{ vrf: exact; dst: lpm; }`, under churn
+    /// with twins: IPv4-shaped with the LPM field last and first, and a
+    /// `16 + 128`-bit IPv6 shape with prefixes at 0/16/64/127/128. Insert
+    /// and delete codes, the live count and the hit's prefix length agree
+    /// with the full-scan oracle, and among same-length twins the lowest
+    /// live row answers.
+    #[test]
+    fn multi_field_lpm_matches_oracle_under_churn(
+        ops in proptest::collection::vec(fib_op_strategy(), 1..150),
+    ) {
+        let v4 = |(hi, mid, lo): (u32, u32, u32)| u128::from((hi << 24) | (mid << 12) | lo);
+        for lpm_first in [false, true] {
+            FibShape {
+                exact_bits: 16,
+                lpm_bits: 32,
+                lpm_first,
+                value: v4,
+                plens: [0, 8, 16, 24, 32],
+            }
+            .check(&ops)?;
+        }
+        FibShape {
+            exact_bits: 16,
+            lpm_bits: 128,
+            lpm_first: false,
+            value: |(hi, mid, lo)| {
+                (u128::from(hi) << 120) | (u128::from(mid) << 80) | u128::from(lo)
+            },
+            plens: [0, 16, 64, 127, 128],
+        }
+        .check(&ops)?;
+    }
+
     /// LPM under churn: insert/delete success codes, the live count, and
-    /// every lookup agree with the full-scan oracle; the borrowed-key
-    /// `match_single` probe agrees with `match_prepared` exactly. A hit is
-    /// compared by matched prefix length (twins shadow each other in the
-    /// index, so *which* same-prefix twin answers is not pinned — that
-    /// ambiguity predates the indexed path).
+    /// every lookup agree with the full-scan oracle. A hit is compared by
+    /// matched prefix length; which same-prefix twin answers is pinned by
+    /// `multi_field_lpm_matches_oracle_under_churn`.
     #[test]
     fn lpm_matches_oracle_under_churn(ops in proptest::collection::vec(op_strategy(), 1..150)) {
         let mut t = Table::new(lpm_def(12)).unwrap();
@@ -147,9 +350,6 @@ proptest! {
                 Op::Lookup { v } => {
                     t.begin_lookup();
                     let a = t.match_prepared(Some(&[v as u128]), &mut probe).map(|h| h.row);
-                    t.begin_lookup();
-                    let b = t.match_single(Some(v as u128)).map(|h| h.row);
-                    prop_assert_eq!(a, b, "match_single diverged from match_prepared");
                     match (a, o.lpm_best(v)) {
                         (None, None) => {}
                         (Some(row), Some(best)) => {
@@ -178,8 +378,8 @@ proptest! {
     }
 
     /// Exact-match under churn: everything is deterministic, so hits are
-    /// compared by the stored action arguments, and both the indexed probe
-    /// and `match_single` must agree with the oracle exactly.
+    /// compared by the stored action arguments, and the indexed probe must
+    /// agree with the oracle exactly.
     #[test]
     fn exact_matches_oracle_under_churn(ops in proptest::collection::vec(op_strategy(), 1..150)) {
         let def = TableDef {
@@ -217,9 +417,6 @@ proptest! {
                 Op::Lookup { v } => {
                     t.begin_lookup();
                     let a = t.match_prepared(Some(&[v as u128]), &mut probe).map(|h| h.row);
-                    t.begin_lookup();
-                    let b = t.match_single(Some(v as u128)).map(|h| h.row);
-                    prop_assert_eq!(a, b);
                     let got = a.map(|row| t.row(row).unwrap().action.args.clone());
                     let want = o
                         .entries
@@ -285,9 +482,6 @@ proptest! {
                 Op::Lookup { v } => {
                     t.begin_lookup();
                     let a = t.match_prepared(Some(&[v as u128]), &mut probe).map(|h| h.row);
-                    t.begin_lookup();
-                    let b = t.match_single(Some(v as u128)).map(|h| h.row);
-                    prop_assert_eq!(a, b);
                     let got = a.map(|row| t.row(row).unwrap().action.args.clone());
                     let want = o
                         .entries

@@ -54,14 +54,11 @@ use crate::sm::StorageModule;
 use crate::tsp::{SlotStats, TspSlot};
 
 /// Reusable per-pipeline scratch buffers so steady-state packet processing
-/// never allocates: lookup key values, the LPM probe buffer, and hash
-/// inputs.
+/// never allocates: lookup key values and hash inputs.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// Key field values of the current lookup.
     pub key: Vec<u128>,
-    /// LPM probe buffer (masked copies of `key`).
-    pub probe: Vec<u128>,
     /// Hash-primitive input values.
     pub hash: Vec<u128>,
     /// Per-packet header-locator cache (fact-guided; disabled without a
@@ -977,7 +974,7 @@ impl CompiledPath {
         } else {
             None
         };
-        let hit = store.table.match_prepared(vals, &mut scratch.probe);
+        let hit = store.table.match_prepared(vals, &mut Vec::new());
 
         // The lookup's writes (counters) are done; the action only reads the
         // SM, so the matched row's args can be borrowed in place.
