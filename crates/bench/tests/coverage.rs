@@ -1,4 +1,4 @@
-//! Coverage-corpus replay: the witness corpus `rp4-cover` enumerates for
+//! Coverage-corpus replay: the witness corpus `rp4-equiv` enumerates for
 //! each bundled program is driven through all three runtimes — the
 //! interpreter (reference semantics), the compiled fast path, and the
 //! sharded multi-core runtime — and every observable must agree
@@ -15,7 +15,7 @@ use ipbm::{IpbmSwitch, ShardedSwitch};
 use ipsa_bench::{ipsa_sharded_flow, ipsa_sw_flow};
 use ipsa_controller::{programs, Rp4Flow};
 use ipsa_core::control::Device;
-use rp4_cover::{cover_design, replay_witness, CoverOptions, ReplayMode};
+use rp4_equiv::{cover_design, replay_witness, ReplayMode, MAX_WORLDS};
 
 /// Shard count for the replay — CI sweeps this via `SHARDS`.
 fn shard_count() -> usize {
@@ -67,7 +67,7 @@ fn corpus_replays_bit_identically_on_all_programs() {
 
         // The coverage gate: every feasible path of the live design must
         // have a witness, within the default budget.
-        let cov = cover_design(&interp.design, None, &CoverOptions::default());
+        let cov = cover_design(&interp.design, None, MAX_WORLDS);
         assert!(
             cov.fully_covered(),
             "case {case:?}: {}/{} paths witnessed (overflowed: {}); skips: {:?}",

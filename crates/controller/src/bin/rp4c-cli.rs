@@ -188,22 +188,13 @@ fn cmd_check(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
         // Phase 3 (--equiv): prove the design behaves identically to the
         // checked program in every symbolic world (rp4-equiv).
         if equiv {
-            diags.extend(rp4_equiv::check_program_design(
-                &checked,
-                &env,
-                &c.design,
-                &rp4_equiv::EquivOptions::default(),
-            ));
+            diags.extend(rp4_equiv::check_program_design(&checked, &env, &c.design));
         }
         // Phase 4 (--cover): enumerate every feasible execution path,
         // concretize a witness per path, and report the RP44xx findings
         // (deduplicated against the dataflow block above).
         if do_cover {
-            let cov = rp4_cover::cover_design(
-                &c.design,
-                Some(&checked),
-                &rp4_cover::CoverOptions::default(),
-            );
+            let cov = rp4_equiv::cover_design(&c.design, Some(&checked), rp4_equiv::MAX_WORLDS);
             diags.extend(rp4_dfa::merge_findings(&diags, cov.diags.clone()));
             coverage_line = Some(format!(
                 "coverage: {}/{} feasible paths witnessed ({} pruned infeasible), WCET {:.0} ns",
@@ -255,13 +246,13 @@ fn cmd_cover(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
     rp4_lang::check(&prog, None).map_err(|errs| format!("{} semantic error(s)", errs.len()))?;
     let target = target_of(flags)?;
     let c = rp4c::full_compile(&prog, &target).map_err(|e| e.to_string())?;
-    let mut opts = rp4_cover::CoverOptions::default();
-    if let Some(n) = flags.get("max-paths") {
-        opts.max_paths = n
+    let max_paths = match flags.get("max-paths") {
+        Some(n) => n
             .parse()
-            .map_err(|_| format!("--max-paths: `{n}` is not a number"))?;
-    }
-    let cov = rp4_cover::cover_design(&c.design, Some(&prog), &opts);
+            .map_err(|_| format!("--max-paths: `{n}` is not a number"))?,
+        None => rp4_equiv::MAX_WORLDS,
+    };
+    let cov = rp4_equiv::cover_design(&c.design, Some(&prog), max_paths);
     if !cov.diags.is_empty() {
         eprint!("{}", rp4_lang::render_all(&cov.diags, Some(&src), file));
     }
@@ -272,7 +263,7 @@ fn cmd_cover(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
         cov.pruned_infeasible,
         cov.wcet_ns,
     );
-    write_or_print(flags, "out", &rp4_cover::corpus_json(&cov))?;
+    write_or_print(flags, "out", &rp4_equiv::corpus_json(&cov))?;
     if !cov.fully_covered() {
         return Err(format!(
             "coverage incomplete: {}/{} paths witnessed{}",

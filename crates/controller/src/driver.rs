@@ -24,7 +24,7 @@ use rp4c::incremental::{incremental_compile, UpdateCmd, UpdateStats};
 use rp4c::layout::LayoutAlgo;
 use rp4c::Compilation;
 
-use crate::script::{parse_script, ScriptCmd, ScriptError};
+use crate::script::{parse_lines, ScriptCmd, ScriptError};
 use crate::table_api::{build_entry, build_key, find_api, ApiError};
 
 /// Controller-level error.
@@ -242,37 +242,11 @@ impl<D: Device> Rp4Flow<D> {
         script: &str,
         sources: &dyn Fn(&str) -> Option<String>,
     ) -> Result<rp4c::UpdatePlan, ControllerError> {
-        let cmds = parse_script(script)?;
-        let mut update_cmds = Vec::new();
-        for cmd in cmds {
-            update_cmds.push(match cmd {
-                ScriptCmd::Load { file, func } => {
-                    let src = sources(&file)
-                        .ok_or_else(|| ControllerError::MissingSource(file.clone()))?;
-                    let snippet = rp4_lang::parse(&src).map_err(ControllerError::Rp4)?;
-                    UpdateCmd::Load { snippet, func }
-                }
-                ScriptCmd::Unload { func } => UpdateCmd::Unload { func },
-                ScriptCmd::Update { file, func } => {
-                    let src = sources(&file)
-                        .ok_or_else(|| ControllerError::MissingSource(file.clone()))?;
-                    let snippet = rp4_lang::parse(&src).map_err(ControllerError::Rp4)?;
-                    UpdateCmd::Replace { snippet, func }
-                }
-                ScriptCmd::AddLink { from, to } => UpdateCmd::AddLink { from, to },
-                ScriptCmd::DelLink { from, to } => UpdateCmd::DelLink { from, to },
-                ScriptCmd::LinkHeader { pre, next, tag } => {
-                    UpdateCmd::LinkHeader { pre, next, tag }
-                }
-                ScriptCmd::UnlinkHeader { pre, next } => UpdateCmd::UnlinkHeader { pre, next },
-                other => {
-                    return Err(ControllerError::Script(ScriptError {
-                        line: 0,
-                        msg: format!("table operation {other:?} cannot be pre-compiled"),
-                    }))
-                }
-            });
-        }
+        let mut parse_us = 0.0;
+        let update_cmds = parse_lines(script)?
+            .into_iter()
+            .map(|(line, cmd)| lower(line, cmd, sources, &mut parse_us))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(incremental_compile(
             &self.design,
             &self.program,
@@ -294,25 +268,21 @@ impl<D: Device> Rp4Flow<D> {
     /// functions the plan does not touch must behave identically before
     /// and after (`rp4-equiv`, RP42xx). It also enumerates the feasible
     /// paths of both designs and rejects plans that regress the static
-    /// worst-case per-packet cost bound disproportionately (`rp4-cover`,
+    /// worst-case per-packet cost bound disproportionately (`rp4-equiv`,
     /// RP4404).
     pub fn apply_plan(&mut self, plan: rp4c::UpdatePlan) -> Result<ApplyReport, ControllerError> {
         if !self.force {
-            let unsafe_msgs: Vec<_> = rp4_verify::verify_msgs(&plan.msgs)
+            let unsafe_msgs: Vec<_> = rp4_dfa::verify_msgs(&plan.msgs)
                 .into_iter()
                 .filter(|d| d.severity == rp4_lang::Severity::Error)
                 .collect();
             if !unsafe_msgs.is_empty() {
                 return Err(ControllerError::Verify(unsafe_msgs));
             }
-            let divergent: Vec<_> = rp4_equiv::check_design_design(
-                &self.design,
-                &plan.design,
-                &rp4_equiv::EquivOptions::default(),
-            )
-            .into_iter()
-            .filter(|d| d.severity == rp4_lang::Severity::Error)
-            .collect();
+            let divergent: Vec<_> = rp4_equiv::check_design_design(&self.design, &plan.design)
+                .into_iter()
+                .filter(|d| d.severity == rp4_lang::Severity::Error)
+                .collect();
             if !divergent.is_empty() {
                 return Err(ControllerError::Verify(divergent));
             }
@@ -324,13 +294,8 @@ impl<D: Device> Rp4Flow<D> {
             }
             // RP4404: the plan must not regress the static worst-case
             // per-packet cost bound beyond the allowed slack (path
-            // enumeration over both designs, `rp4-cover`).
-            let wcet = rp4_cover::check_plan_wcet(
-                &self.design,
-                &plan.design,
-                Some(&plan.program),
-                &rp4_cover::CoverOptions::default(),
-            );
+            // enumeration over both designs).
+            let wcet = rp4_equiv::check_plan_wcet(&self.design, &plan.design, Some(&plan.program));
             if !wcet.is_empty() {
                 return Err(ControllerError::Verify(wcet));
             }
@@ -348,37 +313,10 @@ impl<D: Device> Rp4Flow<D> {
         script: &str,
         sources: &dyn Fn(&str) -> Option<String>,
     ) -> Result<ScriptOutcome, ControllerError> {
-        let cmds = parse_script(script)?;
         let mut outcome = ScriptOutcome::default();
         let mut pending: Vec<UpdateCmd> = Vec::new();
-        for cmd in cmds {
+        for (line, cmd) in parse_lines(script)? {
             match cmd {
-                ScriptCmd::Load { file, func } => {
-                    let src = sources(&file)
-                        .ok_or_else(|| ControllerError::MissingSource(file.clone()))?;
-                    // Snippet parse time is part of the measured compile.
-                    let t0 = Instant::now();
-                    let snippet = rp4_lang::parse(&src).map_err(ControllerError::Rp4)?;
-                    outcome.compile_us += t0.elapsed().as_secs_f64() * 1e6;
-                    pending.push(UpdateCmd::Load { snippet, func });
-                }
-                ScriptCmd::Unload { func } => pending.push(UpdateCmd::Unload { func }),
-                ScriptCmd::Update { file, func } => {
-                    let src = sources(&file)
-                        .ok_or_else(|| ControllerError::MissingSource(file.clone()))?;
-                    let t0 = Instant::now();
-                    let snippet = rp4_lang::parse(&src).map_err(ControllerError::Rp4)?;
-                    outcome.compile_us += t0.elapsed().as_secs_f64() * 1e6;
-                    pending.push(UpdateCmd::Replace { snippet, func });
-                }
-                ScriptCmd::AddLink { from, to } => pending.push(UpdateCmd::AddLink { from, to }),
-                ScriptCmd::DelLink { from, to } => pending.push(UpdateCmd::DelLink { from, to }),
-                ScriptCmd::LinkHeader { pre, next, tag } => {
-                    pending.push(UpdateCmd::LinkHeader { pre, next, tag });
-                }
-                ScriptCmd::UnlinkHeader { pre, next } => {
-                    pending.push(UpdateCmd::UnlinkHeader { pre, next });
-                }
                 ScriptCmd::TableAdd {
                     table,
                     action,
@@ -413,11 +351,57 @@ impl<D: Device> Rp4Flow<D> {
                     }])?;
                     outcome.report.merge(&r);
                 }
+                // Snippet parse time is part of the measured compile.
+                structural => {
+                    pending.push(lower(line, structural, sources, &mut outcome.compile_us)?);
+                }
             }
         }
         self.flush_updates(&mut pending, &mut outcome)?;
         Ok(outcome)
     }
+}
+
+/// Lowers the structural script command on 1-based `line` to the
+/// compiler's form, resolving and parsing the snippet it names; the parse
+/// time is added to `parse_us`. A table operation has no compiled form: it
+/// runs on the live device, so lowering one is an error.
+fn lower(
+    line: usize,
+    cmd: ScriptCmd,
+    sources: &dyn Fn(&str) -> Option<String>,
+    parse_us: &mut f64,
+) -> Result<UpdateCmd, ControllerError> {
+    let mut snippet = |file: String| -> Result<Program, ControllerError> {
+        let src = sources(&file).ok_or(ControllerError::MissingSource(file))?;
+        let t0 = Instant::now();
+        let snippet = rp4_lang::parse(&src)?;
+        *parse_us += t0.elapsed().as_secs_f64() * 1e6;
+        Ok(snippet)
+    };
+    Ok(match cmd {
+        ScriptCmd::Load { file, func } => UpdateCmd::Load {
+            snippet: snippet(file)?,
+            func,
+        },
+        ScriptCmd::Update { file, func } => UpdateCmd::Replace {
+            snippet: snippet(file)?,
+            func,
+        },
+        ScriptCmd::Unload { func } => UpdateCmd::Unload { func },
+        ScriptCmd::AddLink { from, to } => UpdateCmd::AddLink { from, to },
+        ScriptCmd::DelLink { from, to } => UpdateCmd::DelLink { from, to },
+        ScriptCmd::LinkHeader { pre, next, tag } => UpdateCmd::LinkHeader { pre, next, tag },
+        ScriptCmd::UnlinkHeader { pre, next } => UpdateCmd::UnlinkHeader { pre, next },
+        ScriptCmd::TableAdd { .. }
+        | ScriptCmd::TableDel { .. }
+        | ScriptCmd::TableDefault { .. } => {
+            return Err(ControllerError::Script(ScriptError {
+                line,
+                msg: "a table operation cannot be pre-compiled: it runs on the live device".into(),
+            }))
+        }
+    })
 }
 
 /// The conventional P4 / PISA design-flow driver.
@@ -482,7 +466,7 @@ impl<D: Device> P4Flow<D> {
         // The swap path must stay plan-safe too: LoadFullDesign quiesces by
         // itself and entry adds are non-structural, so this never fires
         // unless the message assembly above regresses.
-        let unsafe_msgs: Vec<_> = rp4_verify::verify_msgs(&msgs)
+        let unsafe_msgs: Vec<_> = rp4_dfa::verify_msgs(&msgs)
             .into_iter()
             .filter(|d| d.severity == rp4_lang::Severity::Error)
             .collect();

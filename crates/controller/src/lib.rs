@@ -183,9 +183,7 @@ mod flow_tests {
         };
         assert!(!diags.is_empty());
         assert!(
-            diags
-                .iter()
-                .all(|d| d.code == rp4_verify::codes::PLAN_UNSAFE),
+            diags.iter().all(|d| d.code == rp4_dfa::codes::PLAN_UNSAFE),
             "{diags:?}"
         );
         // The rejected apply must not have touched the flow's state.

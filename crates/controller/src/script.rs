@@ -180,6 +180,11 @@ fn flag<'a>(tokens: &'a [&str], name: &str) -> Option<&'a str> {
 
 /// Parses a full script.
 pub fn parse_script(src: &str) -> Result<Vec<ScriptCmd>, ScriptError> {
+    Ok(parse_lines(src)?.into_iter().map(|(_, cmd)| cmd).collect())
+}
+
+/// Parses a full script, tagging each command with its 1-based line.
+pub(crate) fn parse_lines(src: &str) -> Result<Vec<(usize, ScriptCmd)>, ScriptError> {
     let mut out = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
         let line_no = idx + 1;
@@ -306,7 +311,7 @@ pub fn parse_script(src: &str) -> Result<Vec<ScriptCmd>, ScriptError> {
             }
             other => return Err(err(format!("unknown command `{other}`"))),
         };
-        out.push(cmd);
+        out.push((line_no, cmd));
     }
     Ok(out)
 }

@@ -5,7 +5,7 @@
 //! plane — the selector, the per-slot templates and the registered actions.
 //! The device's epoch compiler (`ipbm::fast::compile`) calls it on its own
 //! state whenever it compiles, so the facts can never be stale or missing,
-//! whichever control messages produced that state; `rp4-cover` calls it on a
+//! whichever control messages produced that state; `rp4-equiv` calls it on a
 //! [`CompiledDesign`] to prune the same worlds. The compiler uses each fact
 //! to skip work the analysis proved redundant:
 //!

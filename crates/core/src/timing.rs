@@ -118,7 +118,7 @@ impl CostModel {
 /// per-packet cost model can price: traversed (programmed) slots, table
 /// lookups issued, action primitives executed, and headers parsed off the
 /// wire. Produced by the symbolic design evaluator (`rp4-equiv`) and priced
-/// by [`PacketCostModel`] into the static per-path cost bounds `rp4-cover`
+/// by [`PacketCostModel`] into the static per-path cost bounds `rp4-equiv`
 /// reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathWork {
@@ -149,7 +149,7 @@ impl PathWork {
 /// or more memory accesses). The absolute numbers matter less than the
 /// *ordering* they induce: a path that parses more headers, issues more
 /// lookups, or runs longer actions must cost more, so the worst-case bound
-/// `rp4-cover` computes is monotone in real work.
+/// `rp4-equiv` computes is monotone in real work.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PacketCostModel {
     /// Fixed per-slot traversal cost (template fetch + matcher), ns.
@@ -233,7 +233,7 @@ mod tests {
     }
 
     /// The per-packet bound must be strictly monotone in every work
-    /// component, or the WCET comparison `rp4-cover` gates plans on could
+    /// component, or the WCET comparison `rp4-equiv` gates plans on could
     /// miss a regression.
     #[test]
     fn packet_cost_monotone_in_work() {

@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 
 use ipbm::{IpbmSwitch, ShardedSwitch};
 use ipsa_core::control::Device;
-use rp4_cover::{replay_witness, ReplayMode};
+use rp4_equiv::{replay_witness, ReplayMode};
 
 use crate::proto::{DeviceStats, ElectionId, Request, Response, ResponseFrame};
 use crate::wire::Envelope;

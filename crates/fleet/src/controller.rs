@@ -12,7 +12,7 @@ use ipsa_core::template::CompiledDesign;
 use ipsa_netpkt::packet::Packet;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rp4_cover::{cover_design, replay_corpus, CoverOptions, ReplayMode};
+use rp4_equiv::{cover_design, replay_corpus, Coverage, ReplayMode, MAX_WORLDS};
 
 use crate::agent::{spawn_agent, AgentHandle};
 use crate::error::FleetError;
@@ -87,7 +87,7 @@ struct FleetDevice {
 ///
 /// Owns one [`Link`] + agent per device, a monotonically-arbitrated
 /// election id, and the fleet's committed design. All RPCs run through
-/// one engine ([`FleetController::call`]-internal) that enforces the
+/// one internal engine (`FleetController::call`) that enforces the
 /// deadline/retry/backoff budget and feeds the per-device health machine.
 pub struct FleetController {
     cfg: FleetConfig,
@@ -482,7 +482,7 @@ impl FleetController {
     /// Canary-verified rolling in-situ update with fleet-wide failback.
     ///
     /// 1. **Oracle** — install the post-update design on a local reference
-    ///    switch, enumerate its witness corpus (`rp4-cover`), and record
+    ///    switch, enumerate its witness corpus (`rp4-equiv`), and record
     ///    the oracle outputs of every feasible path.
     /// 2. **Canary** — stage the plan on one device (a staged transaction:
     ///    revertible byte-identically), replay the corpus through it over
@@ -514,7 +514,7 @@ impl FleetController {
         // Phase 1: oracle outputs on a local reference device.
         let mut oracle = IpbmSwitch::try_new(IpbmConfig::default())?;
         oracle.install(&plan.design)?;
-        let cov = cover_design(&plan.design, None, &CoverOptions::default());
+        let cov = cover_design(&plan.design, None, MAX_WORLDS);
         let oracle_out = replay_corpus(&mut oracle, &cov, ReplayMode::Run)?;
         let witnesses = cov.paths.iter().filter(|p| p.witness.is_some()).count();
 
@@ -630,7 +630,7 @@ impl FleetController {
         &mut self,
         idx: usize,
         plan: &FleetUpdate,
-        cov: &rp4_cover::Coverage,
+        cov: &Coverage,
         oracle_out: &[Vec<Packet>],
     ) -> Result<(), FleetError> {
         self.call(

@@ -18,7 +18,7 @@
 //! * [`controller`] — [`FleetController`]: per-RPC deadlines, bounded
 //!   retries with exponential backoff + seeded jitter, and the headline
 //!   operation: [`FleetController::rolling_update`] — stage the in-situ
-//!   plan on a canary, replay the `rp4-cover` witness corpus through it
+//!   plan on a canary, replay the `rp4-equiv` witness corpus through it
 //!   against a local oracle, fan out device-by-device only if every
 //!   output matches bit-for-bit, and fail back fleet-wide (byte-identical
 //!   state, via staged transactions) if any live device refuses.

@@ -8,7 +8,7 @@ mod util;
 use ipbm::{IpbmConfig, IpbmSwitch};
 use ipsa_core::control::Device;
 use ipsa_fleet::{FleetError, Health, RpcKind, WireFaultPlan};
-use rp4_cover::replay::teardown_of;
+use rp4_equiv::teardown_of;
 use util::*;
 
 /// A fault plan that drops every send of one RPC kind for `occurrences`

@@ -8,8 +8,7 @@
 use ipbm::{IpbmConfig, IpbmSwitch, ShardedSwitch};
 use ipsa_fleet::{FleetConfig, FleetController, FleetUpdate};
 use ipsa_netpkt::packet::Packet;
-use rp4_cover::{cover_design, CoverOptions};
-use rp4_equiv::PathWitness;
+use rp4_equiv::{cover_design, replay_witness, PathWitness, ReplayMode, MAX_WORLDS};
 use rp4c::{
     design_diff, full_compile, full_compile_with_faults, incremental_compile, CompilerTarget,
     FaultInjection, LayoutAlgo, UpdateCmd,
@@ -142,13 +141,13 @@ pub fn miscompiled_plan(c1: &rp4c::Compilation) -> FleetUpdate {
 pub fn forwarding_witness(
     design: &ipsa_core::template::CompiledDesign,
 ) -> (PathWitness, Vec<Packet>) {
-    let cov = cover_design(design, None, &CoverOptions::default());
+    let cov = cover_design(design, None, MAX_WORLDS);
     for path in &cov.paths {
         let Some(w) = &path.witness else { continue };
         let mut reference = IpbmSwitch::new(IpbmConfig::default());
         reference.install(design).expect("reference installs");
-        let out = rp4_cover::replay_witness(&mut reference, w, rp4_cover::ReplayMode::RunBatch)
-            .expect("oracle replay runs");
+        let out =
+            replay_witness(&mut reference, w, ReplayMode::RunBatch).expect("oracle replay runs");
         if !out.is_empty() {
             return (w.clone(), out);
         }

@@ -15,7 +15,7 @@
 mod util;
 
 use ipsa_fleet::{Health, RpcKind, WireFault, WireFaultPlan};
-use rp4_cover::replay::teardown_of;
+use rp4_equiv::teardown_of;
 use util::*;
 
 fn run_cell(rpc: RpcKind, fault: WireFault, seed: u64) {

@@ -115,7 +115,7 @@ fn apply_one(
 /// Applies a message batch transactionally, returning the cost report.
 ///
 /// Application is sequential; before each message applies, its undo is
-/// journaled ([`ApplyJournal`]), so the first failing message rolls the
+/// journaled (`ApplyJournal`), so the first failing message rolls the
 /// PM/SM/linkage back to the batch's starting state and the batch reports
 /// [`CoreError::RolledBack`] — `Device::apply` is all-or-nothing, and a
 /// failed in-situ update can never strand the pipeline half-programmed.

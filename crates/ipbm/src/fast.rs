@@ -87,7 +87,7 @@ struct LocEntry {
 /// registered action inserts or removes headers, so within one packet a
 /// location can only change when the *parser* extracts something — and the
 /// fast path bumps the generation after every extracting parse phase
-/// ([`CompiledPath::process_slot`]), which invalidates the whole memo.
+/// (`CompiledPath::process_slot`), which invalidates the whole memo.
 /// Without that proof the cache stays disabled and every probe falls
 /// through to [`Packet::find_sym`]'s linear scan.
 #[derive(Debug, Default)]

@@ -22,7 +22,7 @@ const BUCKETS: usize = 64;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BusyHistogram {
     /// `buckets[i]` counts samples whose value `v` satisfies
-    /// `floor(log2(max(v, 1))) == i`. Always [`BUCKETS`] long (a `Vec`
+    /// `floor(log2(max(v, 1))) == i`. Always `BUCKETS` long (a `Vec`
     /// only because the vendored serde has no fixed-array impls).
     pub buckets: Vec<u64>,
     /// Total samples recorded.

@@ -443,7 +443,7 @@ impl PipelineModule {
     }
 
     /// Runs a whole burst run-to-completion through one
-    /// [`PipelineModule::burst_runner`] checkout. Drains `pkts` and pushes
+    /// `PipelineModule::burst_runner` checkout. Drains `pkts` and pushes
     /// emitted packets to `out`; per-packet failures are counted drops
     /// ([`PipelineStats::parse_drops`], [`PipelineStats::error_drops`]),
     /// so no burst fails as a whole and the result is always `Ok`.

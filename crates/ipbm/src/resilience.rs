@@ -9,7 +9,7 @@
 //! runtime the two disciplines production switch OSes use at the
 //! control/data-plane boundary:
 //!
-//! * **Atomicity** — [`ApplyJournal`] records the undo of every control
+//! * **Atomicity** — `ApplyJournal` records the undo of every control
 //!   message before it applies and replays the log in reverse order on a
 //!   mid-batch failure, making `Device::apply` all-or-nothing. Its cost is
 //!   proportional to what the batch names, not to what the device holds:

@@ -11,8 +11,8 @@
 //! leave a compiled path valid.
 //!
 //! Undo for the transactional journal ([`crate::resilience`]) is taken at
-//! the same grain as the change: an [`EntryUndo`] holds one row's
-//! checkpoint and block bytes, a [`TableImage`] holds the one table a
+//! the same grain as the change: an `EntryUndo` holds one row's
+//! checkpoint and block bytes, a `TableImage` holds the one table a
 //! structural message names.
 
 use std::collections::HashMap;

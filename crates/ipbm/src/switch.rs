@@ -182,7 +182,7 @@ impl IpbmSwitch {
 
     /// Opens a staged control-plane transaction. Every subsequent
     /// [`Device::apply`] batch journals its undo records into one shared
-    /// [`ApplyJournal`] (the same log a single batch uses), so
+    /// `ApplyJournal` (the same log a single batch uses), so
     /// [`IpbmSwitch::revert_staged`] rewinds *all*
     /// batches applied since this call byte-identically — the device half
     /// of a fleet-wide two-phase rollout. A batch that fails mid-apply

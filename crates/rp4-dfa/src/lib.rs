@@ -1,14 +1,24 @@
-//! Static analysis of rP4 programs: every AST-level lint.
+//! Static analysis of rP4 programs and update plans: every lint that does
+//! not evaluate the pipeline symbolically.
 //!
 //! [`analyze_program`] runs one analysis over a checked [`Program`]: it
 //! builds a per-stage summary once (reachable actions, what they read and
 //! write, per-arm field uses and proven-valid headers) and answers both lint
-//! blocks from it: the program lints RP4101, RP4102, RP4104 and RP4106
-//! (codes in `rp4_verify::codes`), and the dataflow lints RP4301–RP4305 from
-//! one forward pass of abstract interpretation ([`lattice`]) down the live
-//! stage chain. `rp4c::lint_program` runs it in `rp4c check`, `full_compile`
-//! and CI. [`check_plan`] adds RP4306, the plan-level regression check, as a
-//! query over the same summary.
+//! blocks from it: the program lints RP4101, RP4102, RP4104 and RP4106, and
+//! the dataflow lints RP4301–RP4305 from one forward pass of abstract
+//! interpretation ([`lattice`]) down the live stage chain. Beside it sit
+//! the checks that need no summary:
+//!
+//! - [`verify_pool`]: disaggregated-memory overcommit of the lowered
+//!   registries against a target's [`ResourceLimits`] (RP4103);
+//! - [`verify_msgs`]: structural control messages outside a
+//!   `Drain … Resume` window (RP4105);
+//! - [`check_plan`]: the plan-level dataflow regression (RP4306), a query
+//!   over the same summary.
+//!
+//! `rp4c::lint_program` runs the program checks in `rp4c check`,
+//! `full_compile` and CI; `incremental_compile` and the controller run the
+//! plan checks. Every code the crate emits is declared in [`codes`].
 //!
 //! The design-level facts the fast path uses are not derived here: they are
 //! a function of what the device latches, so `ipsa_core::facts::derive`
@@ -18,18 +28,37 @@
 
 pub mod lattice;
 pub mod plan;
+pub mod pool;
 pub mod program;
 mod summary;
 
-pub use plan::check_plan;
+pub use plan::{check_plan, verify_msgs};
+pub use pool::verify_pool;
 pub use program::analyze_program;
 
 use std::collections::BTreeSet;
 
 use rp4_lang::Diagnostic;
 
-/// Diagnostic codes of the dataflow block.
+/// Diagnostic codes of the static analysis. Codes `RP4001`–`RP4007` are
+/// the front end's semantic errors (`rp4_lang::semantic::codes`).
 pub mod codes {
+    /// A stage reads or writes a header field that no stage at or before it
+    /// in its pipeline parses.
+    pub const USE_BEFORE_PARSE: &str = "RP4101";
+    /// A stage's guard reads a resource written by the actions of the
+    /// preceding merge-eligible stage — merging would reorder the read.
+    pub const STAGE_HAZARD: &str = "RP4102";
+    /// The design's tables need more SRAM/TCAM blocks than the target's
+    /// disaggregated memory pool provides.
+    pub const MEM_OVERCOMMIT: &str = "RP4103";
+    /// Invalid elastic-pipeline shape: a missing or wrong-side entry point,
+    /// or more stages than the target has TSP slots.
+    pub const PIPELINE_INVALID: &str = "RP4104";
+    /// A structural control message sits outside a `Drain … Resume` window.
+    pub const PLAN_UNSAFE: &str = "RP4105";
+    /// Unused header, table, or action, or a stage no user_func claims.
+    pub const DEAD_CODE: &str = "RP4106";
     /// Access to a header an earlier stage may have removed, without an
     /// `isValid` guard (error).
     pub const INVALID_HEADER_USE: &str = "RP4301";
@@ -48,6 +77,39 @@ pub mod codes {
     pub const PLAN_FACT_REGRESSION: &str = "RP4306";
 }
 
+/// Resource budget of the verification target: the subset of a compiler
+/// target the lints need, so callers at any layer can construct one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResourceLimits {
+    /// Physical TSP slots in the elastic pipeline (0 = unchecked).
+    pub slots: usize,
+    /// SRAM blocks in the disaggregated memory pool.
+    pub sram_blocks: usize,
+    /// TCAM blocks in the disaggregated memory pool.
+    pub tcam_blocks: usize,
+}
+
+impl ResourceLimits {
+    /// Limits of the paper's IPBM-style software target (32 slots,
+    /// 64 SRAM + 16 TCAM blocks).
+    pub fn ipbm() -> Self {
+        ResourceLimits {
+            slots: 32,
+            sram_blocks: 64,
+            tcam_blocks: 16,
+        }
+    }
+
+    /// A budget that disables every resource check.
+    pub fn unlimited() -> Self {
+        ResourceLimits {
+            slots: 0,
+            sram_blocks: usize::MAX,
+            tcam_blocks: usize::MAX,
+        }
+    }
+}
+
 /// Merges a later block's findings into an existing finding list, dropping
 /// each one about an item an existing RP4106 (dead code), RP4303 (dead
 /// store) or RP4304 (unreachable arm) finding already reports. Findings
@@ -59,7 +121,12 @@ pub mod codes {
 pub fn merge_findings(existing: &[Diagnostic], new: Vec<Diagnostic>) -> Vec<Diagnostic> {
     let reported: BTreeSet<_> = existing
         .iter()
-        .filter(|d| matches!(d.code.as_str(), "RP4106" | "RP4303" | "RP4304"))
+        .filter(|d| {
+            matches!(
+                d.code.as_str(),
+                codes::DEAD_CODE | codes::DEAD_STORE | codes::UNREACHABLE
+            )
+        })
         .flat_map(|d| &d.key)
         .collect();
     new.into_iter()

@@ -1,9 +1,9 @@
 //! Every AST-level lint of a checked program, run as one analysis over its
-//! [`Summary`].
+//! per-stage summary.
 //!
 //! Two blocks come out, each in report order:
 //!
-//! - the program lints (RP41xx, codes in `rp4_verify::codes`): use before
+//! - the program lints (RP41xx): use before
 //!   parse (RP4101), stage merge hazards (RP4102), elastic-pipeline shape
 //!   (RP4104) and dead code (RP4106);
 //! - the dataflow lints (RP4301–RP4305). The live stage chain (ingress
@@ -26,12 +26,11 @@ use rp4_lang::ast::{
 };
 use rp4_lang::semantic::{Env, INTRINSIC_META};
 use rp4_lang::{Diagnostic, ItemKind, Span};
-use rp4_verify::codes::{DEAD_CODE, PIPELINE_INVALID, STAGE_HAZARD, USE_BEFORE_PARSE};
-use rp4_verify::ResourceLimits;
 
-use crate::codes;
+use crate::codes::{self, DEAD_CODE, PIPELINE_INVALID, STAGE_HAZARD, USE_BEFORE_PARSE};
 use crate::lattice::{max_value, AbsState, CmpKind, Interval};
 use crate::summary::{builtin_writes, guards_exclusive, table_actions, Res, StageSummary, Summary};
+use crate::ResourceLimits;
 
 /// Runs every AST-level lint over a checked program and returns the program
 /// lints (RP4101, RP4102, RP4104, RP4106) and the dataflow lints
@@ -734,7 +733,6 @@ fn dead_stores(
 mod tests {
     use super::*;
     use rp4_lang::{check, parse};
-    use rp4_verify::codes;
 
     fn verify_src(src: &str) -> Vec<Diagnostic> {
         let prog = parse(src).expect("parse");

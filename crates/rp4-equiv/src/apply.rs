@@ -12,7 +12,7 @@ use ipsa_core::control::ControlMsg;
 use ipsa_core::template::CompiledDesign;
 use rp4_lang::Diagnostic;
 
-use crate::check::codes;
+use crate::codes;
 
 /// Applies a batch of control messages to a design value, returning the
 /// resulting design. Unknown-reference edits (e.g. removing an action that

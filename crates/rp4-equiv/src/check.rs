@@ -16,7 +16,8 @@
 //!   touched function), with a structural fast path so the common
 //!   all-identical case costs nothing.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
+use std::ops::ControlFlow;
 
 use ipsa_core::table::{ActionCall, MatchKind, TableDef};
 use ipsa_core::template::CompiledDesign;
@@ -25,50 +26,12 @@ use rp4_lang::ast::{Expr, Program};
 use rp4_lang::semantic::Env;
 use rp4_lang::{Diagnostic, ItemKind, Span};
 
+use crate::codes;
 use crate::eval_ast::eval_ast;
-use crate::eval_design::{eval_design, TableHitTrace};
-use crate::oracle::{Key, Oracle};
+use crate::eval_design::{eval_design, DesignRun, TableHitTrace};
+use crate::oracle::{enumerate, Key, Oracle, Overflow, MAX_DECISIONS, MAX_WORLDS};
 use crate::state::{Outcome, SymState};
 use crate::witness;
-
-/// Stable diagnostic codes of the equivalence checker.
-pub mod codes {
-    /// A header field or metadata value diverges on a matched path.
-    pub const WRITE_DIVERGENCE: &str = "RP4201";
-    /// The packet outcome (forward port / drop kind / runtime error)
-    /// diverges.
-    pub const OUTCOME_DIVERGENCE: &str = "RP4202";
-    /// Header validity (presence after insert/remove) diverges.
-    pub const VALIDITY_DIVERGENCE: &str = "RP4203";
-    /// Table schemas differ between the program and the compiled design.
-    pub const STRUCT_MISMATCH: &str = "RP4204";
-    /// The world/decision budget was exhausted before full coverage.
-    pub const PATH_BUDGET: &str = "RP4205";
-    /// A failback round-trip does not restore the original design.
-    pub const FAILBACK_NONIDENTITY: &str = "RP4206";
-}
-
-/// Tunables of the equivalence checker.
-#[derive(Debug, Clone)]
-pub struct EquivOptions {
-    /// Maximum worlds to enumerate before reporting RP4205.
-    pub max_worlds: usize,
-    /// Maximum oracle decisions within one world.
-    pub max_decisions: usize,
-    /// Concretize a witness packet for each divergence and cross-check it
-    /// on an `ipbm` device.
-    pub witness: bool,
-}
-
-impl Default for EquivOptions {
-    fn default() -> Self {
-        EquivOptions {
-            max_worlds: 65_536,
-            max_decisions: 96,
-            witness: true,
-        }
-    }
-}
 
 /// Upper bound on reported divergences per check (they repeat across
 /// worlds; the first few are the actionable ones).
@@ -86,87 +49,222 @@ struct Divergence {
     predicted_state: SymState,
 }
 
+impl Divergence {
+    /// Concretizes the divergent world into a packet, runs it on an `ipbm`
+    /// device, and appends whether the device agrees with the design-side
+    /// model as notes.
+    fn witnessed(mut self, design: &CompiledDesign) -> Diagnostic {
+        self.diag.notes.extend(witness::cross_check(
+            design,
+            &self.decisions,
+            &self.hits,
+            &self.predicted,
+            &self.predicted_state,
+        ));
+        self.diag
+    }
+}
+
+/// Divergences found so far, deduplicated by code + subject across worlds.
+#[derive(Default)]
+struct Divergences {
+    seen: BTreeSet<(String, String)>,
+    found: Vec<Divergence>,
+}
+
+impl Divergences {
+    /// Records the fresh divergences of the current world; breaks once
+    /// [`MAX_FINDINGS`] are in.
+    fn visit(
+        &mut self,
+        a_state: &SymState,
+        a_outcome: &Outcome,
+        b: &DesignRun,
+        oracle: &mut Oracle,
+    ) -> ControlFlow<()> {
+        self.compare(a_state, a_outcome, b, oracle);
+        if self.found.len() >= MAX_FINDINGS {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Compares two final states + outcomes in the current world and
+    /// records the divergences not seen in an earlier world.
+    fn compare(
+        &mut self,
+        a_state: &SymState,
+        a_outcome: &Outcome,
+        b: &DesignRun,
+        oracle: &mut Oracle,
+    ) {
+        let Divergences { seen, found } = self;
+        let (b_state, b_outcome) = (&b.state, &b.outcome);
+        let world = oracle.describe();
+        let mut push = |code: &str, subject: String, message: String, oracle: &Oracle| {
+            if seen.insert((code.to_string(), subject)) {
+                found.push(Divergence {
+                    diag: Diagnostic::error(code, message)
+                        .with_note(format!("in the world where {world}")),
+                    decisions: oracle.decisions(),
+                    hits: b.hits.clone(),
+                    predicted: b_outcome.clone(),
+                    predicted_state: b_state.clone(),
+                });
+            }
+        };
+
+        let kind = |o: &Outcome| match o {
+            Outcome::Forwarded(_) => "forwarded",
+            Outcome::DroppedByAction => "dropped by an action",
+            Outcome::DroppedNoRoute => "dropped for lacking a route",
+            Outcome::RuntimeError(_) => "aborted with a runtime error",
+        };
+        match (a_outcome, b_outcome) {
+            (Outcome::Forwarded(pa), Outcome::Forwarded(pb)) => {
+                if pa != pb {
+                    push(
+                        codes::OUTCOME_DIVERGENCE,
+                        "egress_port".into(),
+                        format!("egress port diverges: program forwards to {pa}, design to {pb}"),
+                        oracle,
+                    );
+                }
+            }
+            (a, b) if kind(a) == kind(b) => {
+                // Same terminal kind; dropped/error paths need no state compare.
+                return;
+            }
+            (a, b) => {
+                push(
+                    codes::OUTCOME_DIVERGENCE,
+                    "outcome".into(),
+                    format!(
+                        "packet outcome diverges: per the program it is {}, on the device it is {}{}",
+                        kind(a),
+                        kind(b),
+                        match b {
+                            Outcome::RuntimeError(e) => format!(" ({e})"),
+                            _ => String::new(),
+                        }
+                    ),
+                    oracle,
+                );
+                return;
+            }
+        }
+
+        // Both sides forwarded: compare the observable packet state.
+        let headers: BTreeSet<&String> = a_state
+            .validity
+            .keys()
+            .chain(b_state.validity.keys())
+            .collect();
+        for h in headers {
+            let va = a_state.is_valid(oracle, h);
+            let vb = b_state.is_valid(oracle, h);
+            if va != vb {
+                let what = |v: bool| if v { "present" } else { "absent" };
+                push(
+                    codes::VALIDITY_DIVERGENCE,
+                    format!("validity:{h}"),
+                    format!(
+                        "header `{h}` validity diverges: {} per the program, {} on the device",
+                        what(va),
+                        what(vb)
+                    ),
+                    oracle,
+                );
+            }
+        }
+
+        let fields: BTreeSet<(String, String)> = a_state
+            .fields
+            .keys()
+            .chain(b_state.fields.keys())
+            .cloned()
+            .collect();
+        for (h, f) in fields {
+            let va = a_state.is_valid(oracle, &h);
+            let vb = b_state.is_valid(oracle, &h);
+            if !va || !vb {
+                continue; // covered by the validity comparison
+            }
+            let ta = a_state.read_field(oracle, &h, &f);
+            let tb = b_state.read_field(oracle, &h, &f);
+            if ta != tb {
+                push(
+                    codes::WRITE_DIVERGENCE,
+                    format!("field:{h}.{f}"),
+                    format!(
+                        "`{h}.{f}` diverges: program leaves {}, design leaves {}",
+                        show(&ta),
+                        show(&tb)
+                    ),
+                    oracle,
+                );
+            }
+        }
+
+        let metas: BTreeSet<&String> = a_state
+            .meta
+            .keys()
+            .chain(b_state.meta.keys())
+            .filter(|n| !n.starts_with("__t"))
+            .collect();
+        for m in metas {
+            let ta = a_state.read_meta(m);
+            let tb = b_state.read_meta(m);
+            if ta != tb {
+                push(
+                    codes::WRITE_DIVERGENCE,
+                    format!("meta:{m}"),
+                    format!("`meta.{m}` diverges: program leaves {ta}, design leaves {tb}"),
+                    oracle,
+                );
+            }
+        }
+        let ma = a_state.read_meta("mark");
+        let mb = b_state.read_meta("mark");
+        if ma != mb {
+            push(
+                codes::WRITE_DIVERGENCE,
+                "meta:mark".into(),
+                format!("`meta.mark` diverges: program leaves {ma}, design leaves {mb}"),
+                oracle,
+            );
+        }
+    }
+}
+
 /// Validates a compiled design against its source program. Returns RP42xx
 /// diagnostics; empty means the compilation is provably path-equivalent
 /// within the enumeration budget.
-pub fn check_program_design(
-    prog: &Program,
-    env: &Env,
-    design: &CompiledDesign,
-    opts: &EquivOptions,
-) -> Vec<Diagnostic> {
+pub fn check_program_design(prog: &Program, env: &Env, design: &CompiledDesign) -> Vec<Diagnostic> {
     // Structural pre-pass: table schemas. The behavioral phase models
     // lookups as free choices, so a miscompiled key or action list must be
-    // caught here — and matching action lists are what make the shared
-    // per-table arity sound.
+    // caught here — and matching action lists are what make the design's
+    // per-table arity the program's.
     let mut diags = structural_check(prog, env, design);
     if !diags.is_empty() {
         return diags;
     }
-
-    let mut arity: HashMap<String, usize> = HashMap::new();
-    for t in &prog.tables {
-        arity.insert(t.name.clone(), t.actions.len());
-    }
-    for (n, d) in &design.tables {
-        let e = arity.entry(n.clone()).or_insert(0);
-        *e = (*e).max(d.actions.len());
-    }
-
-    let mut oracle = Oracle::new(arity, opts.max_decisions);
-    let mut worlds = 0usize;
-    let mut found: Vec<Divergence> = Vec::new();
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    loop {
-        worlds += 1;
-        let a = eval_ast(prog, env, &mut oracle);
-        let d = eval_design(design, &mut oracle, None);
-        if oracle.overflowed {
-            diags.push(budget_diag(format!(
-                "a path needed more than {} decisions",
-                opts.max_decisions
-            )));
-            break;
-        }
-        collect_divergences(
-            &a.state,
-            &a.outcome,
-            &d.state,
-            &d.outcome,
-            &mut oracle,
-            &d.hits,
-            &mut seen,
-            &mut found,
-        );
-        if found.len() >= MAX_FINDINGS {
-            break;
-        }
-        if worlds >= opts.max_worlds {
-            diags.push(budget_diag(format!(
-                "stopped after {worlds} worlds (budget {})",
-                opts.max_worlds
-            )));
-            break;
-        }
-        if !oracle.next_world() {
-            break;
-        }
-    }
-
-    for mut dv in found {
+    let mut divs = Divergences::default();
+    let overflow = enumerate(
+        &[design],
+        MAX_WORLDS,
+        MAX_DECISIONS,
+        |oracle| {
+            let a = eval_ast(prog, env, oracle);
+            (a, eval_design(design, oracle, None))
+        },
+        |(a, d), oracle| divs.visit(&a.state, &a.outcome, &d, oracle),
+    );
+    diags.extend(overflow.map(budget_diag));
+    for mut dv in divs.found {
         dv.diag.span = span_for(prog, &dv.diag);
-        if opts.witness {
-            for line in witness::cross_check(
-                design,
-                &dv.decisions,
-                &dv.hits,
-                &dv.predicted,
-                &dv.predicted_state,
-            ) {
-                dv.diag.notes.push(line);
-            }
-        }
-        diags.push(dv.diag);
+        diags.push(dv.witnessed(design));
     }
     diags
 }
@@ -175,11 +273,7 @@ pub fn check_program_design(
 /// function that is present, with an identical stage list, in both —
 /// the correctness contract of an in-situ update: *untouched* functions
 /// must be undisturbed.
-pub fn check_design_design(
-    pre: &CompiledDesign,
-    post: &CompiledDesign,
-    opts: &EquivOptions,
-) -> Vec<Diagnostic> {
+pub fn check_design_design(pre: &CompiledDesign, post: &CompiledDesign) -> Vec<Diagnostic> {
     // Stages of functions unchanged between the designs...
     let mut allowed: HashSet<String> = pre
         .funcs
@@ -248,227 +342,33 @@ pub fn check_design_design(
         return diags;
     }
 
-    let mut arity: HashMap<String, usize> = HashMap::new();
-    for d in [pre, post] {
-        for (n, t) in &d.tables {
-            let e = arity.entry(n.clone()).or_insert(0);
-            *e = (*e).max(t.actions.len());
-        }
-    }
-    let mut oracle = Oracle::new(arity, opts.max_decisions);
-    let mut worlds = 0usize;
-    let mut found: Vec<Divergence> = Vec::new();
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    loop {
-        worlds += 1;
-        let a = eval_design(pre, &mut oracle, Some(&allowed));
-        let b = eval_design(post, &mut oracle, Some(&allowed));
-        if oracle.overflowed {
-            diags.push(budget_diag(format!(
-                "a path needed more than {} decisions",
-                opts.max_decisions
-            )));
-            break;
-        }
-        collect_divergences(
-            &a.state,
-            &a.outcome,
-            &b.state,
-            &b.outcome,
-            &mut oracle,
-            &b.hits,
-            &mut seen,
-            &mut found,
-        );
-        if found.len() >= MAX_FINDINGS {
-            break;
-        }
-        if worlds >= opts.max_worlds {
-            diags.push(budget_diag(format!(
-                "stopped after {worlds} worlds (budget {})",
-                opts.max_worlds
-            )));
-            break;
-        }
-        if !oracle.next_world() {
-            break;
-        }
-    }
-    for mut dv in found {
+    let mut divs = Divergences::default();
+    let overflow = enumerate(
+        &[pre, post],
+        MAX_WORLDS,
+        MAX_DECISIONS,
+        |oracle| {
+            let a = eval_design(pre, oracle, Some(&allowed));
+            (a, eval_design(post, oracle, Some(&allowed)))
+        },
+        |(a, b), oracle| divs.visit(&a.state, &a.outcome, &b, oracle),
+    );
+    diags.extend(overflow.map(budget_diag));
+    for mut dv in divs.found {
         dv.diag = dv
             .diag
             .with_note("divergence is on a stage of a function the update does not touch");
-        if opts.witness {
-            for line in witness::cross_check(
-                post,
-                &dv.decisions,
-                &dv.hits,
-                &dv.predicted,
-                &dv.predicted_state,
-            ) {
-                dv.diag.notes.push(line);
-            }
-        }
-        diags.push(dv.diag);
+        diags.push(dv.witnessed(post));
     }
     diags
 }
 
-fn budget_diag(detail: String) -> Diagnostic {
+fn budget_diag(overflow: Overflow) -> Diagnostic {
     Diagnostic::warning(
         codes::PATH_BUDGET,
-        format!("equivalence enumeration incomplete: {detail}"),
+        format!("equivalence enumeration incomplete: {overflow}"),
     )
     .with_note("paths beyond the budget were not compared; raise the budget or simplify guards")
-}
-
-/// Compares two final states + outcomes in the current world and records
-/// fresh divergences (deduplicated by code + subject across worlds).
-#[allow(clippy::too_many_arguments)]
-fn collect_divergences(
-    a_state: &SymState,
-    a_outcome: &Outcome,
-    b_state: &SymState,
-    b_outcome: &Outcome,
-    oracle: &mut Oracle,
-    hits: &[TableHitTrace],
-    seen: &mut BTreeSet<(String, String)>,
-    found: &mut Vec<Divergence>,
-) {
-    let world = oracle.describe();
-    let mut push = |code: &str, subject: String, message: String, oracle: &Oracle| {
-        if seen.insert((code.to_string(), subject)) {
-            found.push(Divergence {
-                diag: Diagnostic::error(code, message)
-                    .with_note(format!("in the world where {world}")),
-                decisions: oracle.decisions(),
-                hits: hits.to_vec(),
-                predicted: b_outcome.clone(),
-                predicted_state: b_state.clone(),
-            });
-        }
-    };
-
-    let kind = |o: &Outcome| match o {
-        Outcome::Forwarded(_) => "forwarded",
-        Outcome::DroppedByAction => "dropped by an action",
-        Outcome::DroppedNoRoute => "dropped for lacking a route",
-        Outcome::RuntimeError(_) => "aborted with a runtime error",
-    };
-    match (a_outcome, b_outcome) {
-        (Outcome::Forwarded(pa), Outcome::Forwarded(pb)) => {
-            if pa != pb {
-                push(
-                    codes::OUTCOME_DIVERGENCE,
-                    "egress_port".into(),
-                    format!("egress port diverges: program forwards to {pa}, design to {pb}"),
-                    oracle,
-                );
-            }
-        }
-        (a, b) if kind(a) == kind(b) => {
-            // Same terminal kind; dropped/error paths need no state compare.
-            return;
-        }
-        (a, b) => {
-            push(
-                codes::OUTCOME_DIVERGENCE,
-                "outcome".into(),
-                format!(
-                    "packet outcome diverges: per the program it is {}, on the device it is {}{}",
-                    kind(a),
-                    kind(b),
-                    match b {
-                        Outcome::RuntimeError(e) => format!(" ({e})"),
-                        _ => String::new(),
-                    }
-                ),
-                oracle,
-            );
-            return;
-        }
-    }
-
-    // Both sides forwarded: compare the observable packet state.
-    let headers: BTreeSet<&String> = a_state
-        .validity
-        .keys()
-        .chain(b_state.validity.keys())
-        .collect();
-    for h in headers {
-        let va = a_state.is_valid(oracle, h);
-        let vb = b_state.is_valid(oracle, h);
-        if va != vb {
-            let what = |v: bool| if v { "present" } else { "absent" };
-            push(
-                codes::VALIDITY_DIVERGENCE,
-                format!("validity:{h}"),
-                format!(
-                    "header `{h}` validity diverges: {} per the program, {} on the device",
-                    what(va),
-                    what(vb)
-                ),
-                oracle,
-            );
-        }
-    }
-
-    let fields: BTreeSet<(String, String)> = a_state
-        .fields
-        .keys()
-        .chain(b_state.fields.keys())
-        .cloned()
-        .collect();
-    for (h, f) in fields {
-        let va = a_state.is_valid(oracle, &h);
-        let vb = b_state.is_valid(oracle, &h);
-        if !va || !vb {
-            continue; // covered by the validity comparison
-        }
-        let ta = a_state.read_field(oracle, &h, &f);
-        let tb = b_state.read_field(oracle, &h, &f);
-        if ta != tb {
-            push(
-                codes::WRITE_DIVERGENCE,
-                format!("field:{h}.{f}"),
-                format!(
-                    "`{h}.{f}` diverges: program leaves {}, design leaves {}",
-                    show(&ta),
-                    show(&tb)
-                ),
-                oracle,
-            );
-        }
-    }
-
-    let metas: BTreeSet<&String> = a_state
-        .meta
-        .keys()
-        .chain(b_state.meta.keys())
-        .filter(|n| !n.starts_with("__t"))
-        .collect();
-    for m in metas {
-        let ta = a_state.read_meta(m);
-        let tb = b_state.read_meta(m);
-        if ta != tb {
-            push(
-                codes::WRITE_DIVERGENCE,
-                format!("meta:{m}"),
-                format!("`meta.{m}` diverges: program leaves {ta}, design leaves {tb}"),
-                oracle,
-            );
-        }
-    }
-    let ma = a_state.read_meta("mark");
-    let mb = b_state.read_meta("mark");
-    if ma != mb {
-        push(
-            codes::WRITE_DIVERGENCE,
-            "meta:mark".into(),
-            format!("`meta.mark` diverges: program leaves {ma}, design leaves {mb}"),
-            oracle,
-        );
-    }
 }
 
 fn show(t: &Option<crate::term::Term>) -> String {
@@ -616,12 +516,68 @@ pub fn check_roundtrip(
     crate::apply::roundtrip_diags(a, &back)
 }
 
-/// Map of table name → action count for oracle arity (exported for tests
-/// and the witness generator).
-pub fn table_arity(design: &CompiledDesign) -> BTreeMap<String, usize> {
-    design
-        .tables
-        .iter()
-        .map(|(n, t)| (n.clone(), t.actions.len()))
-        .collect()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PROG: &str = r#"
+        headers {
+            header ethernet {
+                bit<48> dst_addr; bit<48> src_addr; bit<16> ethertype;
+                implicit parser(ethertype) { 0x0800: ipv4; }
+            }
+            header ipv4 {
+                bit<4> version; bit<4> ihl; bit<6> dscp; bit<2> ecn;
+                bit<16> total_len; bit<16> identification; bit<3> flags;
+                bit<13> frag_offset; bit<8> ttl; bit<8> protocol;
+                bit<16> hdr_checksum; bit<32> src_addr; bit<32> dst_addr;
+            }
+        }
+        structs { struct m_t { bit<16> nh; } meta; }
+        action fwd(bit<16> port) { forward(port); }
+        table fib { key = { ipv4.dst_addr: lpm; } actions = { fwd; } size = 16; }
+        control rP4_Ingress {
+            stage fib_s {
+                parser { ipv4; }
+                matcher { if (ipv4.isValid()) fib.apply(); else; }
+                executor { 1: fwd; default: NoAction; }
+            }
+        }
+        user_funcs { func base { fib_s } ingress_entry: fib_s; }
+    "#;
+
+    /// The RP4205 warning an equivalence check reports when the shared
+    /// driver, run under the given budget, stops short.
+    fn budget_warning(max_worlds: usize, max_decisions: usize) -> Option<Diagnostic> {
+        let prog = rp4_lang::parse(PROG).expect("program parses");
+        let design = rp4c::full_compile(&prog, &rp4c::CompilerTarget::ipbm())
+            .expect("compiles")
+            .design;
+        enumerate(
+            &[&design],
+            max_worlds,
+            max_decisions,
+            |oracle| eval_design(&design, oracle, None),
+            |_, _| ControlFlow::Continue(()),
+        )
+        .map(budget_diag)
+    }
+
+    #[test]
+    fn exhausted_budgets_are_reported_as_rp4205() {
+        let worlds = budget_warning(2, MAX_DECISIONS).expect("two worlds do not cover the design");
+        assert_eq!(worlds.code, codes::PATH_BUDGET);
+        assert_eq!(worlds.severity, rp4_lang::Severity::Warning);
+        assert_eq!(
+            worlds.message,
+            "equivalence enumeration incomplete: stopped after 2 worlds (budget 2)"
+        );
+        let decisions = budget_warning(MAX_WORLDS, 1).expect("a path takes two decisions");
+        assert_eq!(decisions.code, codes::PATH_BUDGET);
+        assert_eq!(
+            decisions.message,
+            "equivalence enumeration incomplete: a path needed more than 1 decisions"
+        );
+        assert!(budget_warning(MAX_WORLDS, MAX_DECISIONS).is_none());
+    }
 }

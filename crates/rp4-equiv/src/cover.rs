@@ -1,11 +1,11 @@
-//! rp4-cover — symbolic path enumeration with witness-corpus coverage and
-//! static per-packet cost bounds.
+//! Symbolic path enumeration with witness-corpus coverage and static
+//! per-packet cost bounds: the RP44xx block.
 //!
-//! The differential suites sample execution paths randomly; this crate
+//! The differential suites sample execution paths randomly; this module
 //! closes the gap by *enumerating* them. Every feasible execution path
 //! through a checked pipeline — parser branch choices, per-table hit/miss
-//! × action selection, guard outcomes — is one world of `rp4-equiv`'s
-//! shared decision [`Oracle`], and each world is:
+//! × action selection, guard outcomes — is one world of the shared decision
+//! oracle, and each world is:
 //!
 //! 1. **pruned** when it is provably infeasible — its constraints are
 //!    mutually contradictory, its validity assignment contradicts the
@@ -14,77 +14,41 @@
 //!    prove unreachable;
 //! 2. **concretized** into a witness packet plus the minimal table-entry
 //!    setup that drives a real device down the same path (the *coverage
-//!    corpus* — also the golden-compare oracle the native codegen backend
-//!    will diff against, ROADMAP item 1);
-//! 3. **priced** by [`PacketCostModel`] into a static per-path cost bound,
-//!    whose maximum is the pipeline's worst-case per-packet bound (WCET).
+//!    corpus*);
+//! 3. **priced** by [`PacketCostModel::software`] into a static per-path
+//!    cost bound, whose maximum is the pipeline's worst-case per-packet
+//!    bound (WCET).
 //!
-//! Diagnostics (the RP44xx block, rendered rustc-style like every other
-//! block): RP4401 path explosion over budget, RP4402 feasible path with no
-//! concretizable witness, RP4403 statically-dead table action, RP4404 plan
-//! WCET regression (the [`check_plan_wcet`] gate `apply_plan` runs unless
-//! `--force`).
+//! Diagnostics: RP4401 path explosion over budget, RP4402 feasible path
+//! with no concretizable witness, RP4403 statically-dead table action,
+//! RP4404 plan WCET regression (the [`check_plan_wcet`] gate `apply_plan`
+//! runs unless `--force`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 use ipsa_core::facts::{self, ProgramFacts};
 use ipsa_core::template::CompiledDesign;
 use ipsa_core::timing::{PacketCostModel, PathWork};
-use rp4_equiv::oracle::Key;
-use rp4_equiv::witness::SkipKind;
-use rp4_equiv::{concretize_world, eval_design, Oracle, Outcome, PathWitness, Skip};
 use rp4_lang::ast::Program;
 use rp4_lang::{Diagnostic, ItemKind, Span};
 use serde::Serialize;
 
-pub mod replay;
+use crate::codes;
+use crate::eval_design::eval_design;
+use crate::oracle::{enumerate, Key, MAX_DECISIONS, MAX_WORLDS};
+use crate::state::Outcome;
+use crate::witness::{concretize_world, PathWitness, Skip, SkipKind};
 
-pub use replay::{replay_corpus, replay_witness, ReplayMode};
-
-/// Diagnostic codes of the coverage block.
-pub mod codes {
-    /// Path enumeration exhausted its world/decision budget before full
-    /// coverage (warning).
-    pub const PATH_EXPLOSION: &str = "RP4401";
-    /// A feasible path has no concretizable witness packet (warning).
-    pub const UNCOVERABLE_PATH: &str = "RP4402";
-    /// A table action no feasible path ever selects (warning).
-    pub const DEAD_ACTION: &str = "RP4403";
-    /// An update plan regresses the static worst-case per-packet cost
-    /// bound beyond the allowed slack (error).
-    pub const PLAN_WCET_REGRESSION: &str = "RP4404";
-}
+/// RP4404 fires when the post-plan WCET exceeds the pre-plan WCET by more
+/// than this factor. Loading a new function legitimately deepens the
+/// pipeline, so the gate only blocks *disproportionate* growth.
+const WCET_SLACK: f64 = 4.0;
 
 /// Upper bound on RP4402 diagnostics per run (uncoverable paths repeat the
 /// same builder gap; the first few are the actionable ones). The counts in
 /// [`Coverage`] still include every path.
 const MAX_UNCOVERABLE_DIAGS: usize = 8;
-
-/// Tunables of the path enumerator.
-#[derive(Debug, Clone)]
-pub struct CoverOptions {
-    /// Maximum worlds to enumerate before reporting RP4401.
-    pub max_paths: usize,
-    /// Maximum oracle decisions within one world.
-    pub max_decisions: usize,
-    /// Per-packet cost model pricing each path.
-    pub cost: PacketCostModel,
-    /// RP4404 fires when the post-plan WCET exceeds the pre-plan WCET by
-    /// more than this factor. Loading a new function legitimately deepens
-    /// the pipeline, so the gate only blocks *disproportionate* growth.
-    pub wcet_slack: f64,
-}
-
-impl Default for CoverOptions {
-    fn default() -> Self {
-        CoverOptions {
-            max_paths: 65_536,
-            max_decisions: 96,
-            cost: PacketCostModel::software(),
-            wcet_slack: 4.0,
-        }
-    }
-}
 
 /// One feasible execution path: its condition, outcome, work, cost, and —
 /// when concretization succeeded — its witness.
@@ -150,6 +114,14 @@ fn outcome_str(o: &Outcome) -> String {
     }
 }
 
+/// Span of the program's first ingress stage: where findings about whole
+/// paths are anchored.
+fn first_stage_span(prog: &Program) -> Option<Span> {
+    prog.ingress
+        .first()
+        .and_then(|st| prog.spans.get(ItemKind::Stage, &st.name))
+}
+
 /// Headers parsed along a world's path: validity keys decided "present".
 fn parsed_headers(decisions: &[(Key, usize)]) -> usize {
     decisions
@@ -169,7 +141,8 @@ fn fact_pruned(facts: &ProgramFacts, arms: &[(String, usize)]) -> bool {
     })
 }
 
-/// Enumerates every execution path of `design`, prunes the infeasible
+/// Enumerates every execution path of `design` within `max_paths` worlds
+/// ([`MAX_WORLDS`] unless a caller asks for fewer), prunes the infeasible
 /// ones (including worlds through arms the design's [`facts::derive`]
 /// facts prove unreachable), concretizes a witness per feasible path, and
 /// prices each path.
@@ -179,57 +152,32 @@ fn fact_pruned(facts: &ProgramFacts, arms: &[(String, usize)]) -> bool {
 pub fn cover_design(
     design: &CompiledDesign,
     spans: Option<&Program>,
-    opts: &CoverOptions,
+    max_paths: usize,
 ) -> Coverage {
     let facts = facts::derive(
         &design.selector,
         |i| design.templates.get(i).and_then(Option::as_ref),
         &design.actions,
     );
-    let arity: HashMap<String, usize> = design
-        .tables
-        .iter()
-        .map(|(n, t)| (n.clone(), t.actions.len()))
-        .collect();
-    let mut oracle = Oracle::new(arity, opts.max_decisions);
+    let cost = PacketCostModel::software();
     let mut cov = Coverage::default();
     // (table, tag) pairs some feasible path selects — the complement is
     // RP4403.
     let mut selected: BTreeSet<(String, u32)> = BTreeSet::new();
-    let mut worlds = 0usize;
     let mut uncoverable = 0usize;
-    let fallback_span = |prog: &Program| -> Option<Span> {
-        prog.ingress
-            .first()
-            .and_then(|st| prog.spans.get(ItemKind::Stage, &st.name))
-    };
 
-    loop {
-        worlds += 1;
-        let mut run = eval_design(design, &mut oracle, None);
-        if oracle.overflowed {
-            cov.overflowed = true;
-            cov.diags.push(
-                Diagnostic::warning(
-                    codes::PATH_EXPLOSION,
-                    format!(
-                        "path enumeration over budget: a path needed more than {} decisions",
-                        opts.max_decisions
-                    ),
-                )
-                .with_span(spans.and_then(fallback_span))
-                .with_note(
-                    "paths beyond the budget are uncovered; raise the budget or simplify guards",
-                ),
-            );
-            break;
-        }
-        let decisions = oracle.decisions();
-        run.work.parsed_headers = parsed_headers(&decisions);
-
-        if fact_pruned(&facts, &run.arms) {
-            cov.pruned_infeasible += 1;
-        } else {
+    let overflow = enumerate(
+        &[design],
+        max_paths,
+        MAX_DECISIONS,
+        |oracle| eval_design(design, oracle, None),
+        |mut run, oracle| {
+            let decisions = oracle.decisions();
+            run.work.parsed_headers = parsed_headers(&decisions);
+            if fact_pruned(&facts, &run.arms) {
+                cov.pruned_infeasible += 1;
+                return ControlFlow::Continue(());
+            }
             let concretized = concretize_world(design, &decisions, &run.hits);
             if matches!(
                 &concretized,
@@ -239,63 +187,56 @@ pub fn cover_design(
                 })
             ) {
                 cov.pruned_infeasible += 1;
-            } else {
-                // Feasible: its action selections are live even if no
-                // witness exists for it.
-                for h in &run.hits {
-                    selected.insert((h.table.clone(), h.tag));
-                }
-                let cost_ns = opts.cost.path_cost_ns(&run.work);
-                cov.wcet_ns = cov.wcet_ns.max(cost_ns);
-                let (witness, skip) = match concretized {
-                    Ok(w) => (Some(w), None),
-                    Err(s) => (None, Some(s)),
-                };
-                if let Some(s) = &skip {
-                    uncoverable += 1;
-                    if uncoverable <= MAX_UNCOVERABLE_DIAGS {
-                        cov.diags.push(
-                            Diagnostic::warning(
-                                codes::UNCOVERABLE_PATH,
-                                format!("feasible path has no concretizable witness: {}", s.reason),
-                            )
-                            .with_span(spans.and_then(fallback_span))
-                            .with_note(format!("in the world where {}", oracle.describe())),
-                        );
-                    }
-                }
-                cov.paths.push(PathReport {
-                    index: cov.paths.len(),
-                    description: oracle.describe(),
-                    outcome: outcome_str(&run.outcome),
-                    work: run.work,
-                    cost_ns,
-                    witness,
-                    skip,
-                });
+                return ControlFlow::Continue(());
             }
-        }
-
-        if worlds >= opts.max_paths {
-            cov.overflowed = true;
-            cov.diags.push(
-                Diagnostic::warning(
-                    codes::PATH_EXPLOSION,
-                    format!(
-                        "path enumeration over budget: stopped after {worlds} worlds (budget {})",
-                        opts.max_paths
-                    ),
-                )
-                .with_span(spans.and_then(fallback_span))
-                .with_note(
-                    "paths beyond the budget are uncovered; raise the budget or simplify guards",
-                ),
-            );
-            break;
-        }
-        if !oracle.next_world() {
-            break;
-        }
+            // Feasible: its action selections are live even if no witness
+            // exists for it.
+            for h in &run.hits {
+                selected.insert((h.table.clone(), h.tag));
+            }
+            let cost_ns = cost.path_cost_ns(&run.work);
+            cov.wcet_ns = cov.wcet_ns.max(cost_ns);
+            let (witness, skip) = match concretized {
+                Ok(w) => (Some(w), None),
+                Err(s) => (None, Some(s)),
+            };
+            if let Some(s) = &skip {
+                uncoverable += 1;
+                if uncoverable <= MAX_UNCOVERABLE_DIAGS {
+                    cov.diags.push(
+                        Diagnostic::warning(
+                            codes::UNCOVERABLE_PATH,
+                            format!("feasible path has no concretizable witness: {}", s.reason),
+                        )
+                        .with_span(spans.and_then(first_stage_span))
+                        .with_note(format!("in the world where {}", oracle.describe())),
+                    );
+                }
+            }
+            cov.paths.push(PathReport {
+                index: cov.paths.len(),
+                description: oracle.describe(),
+                outcome: outcome_str(&run.outcome),
+                work: run.work,
+                cost_ns,
+                witness,
+                skip,
+            });
+            ControlFlow::Continue(())
+        },
+    );
+    if let Some(overflow) = overflow {
+        cov.overflowed = true;
+        cov.diags.push(
+            Diagnostic::warning(
+                codes::PATH_EXPLOSION,
+                format!("path enumeration over budget: {overflow}"),
+            )
+            .with_span(spans.and_then(first_stage_span))
+            .with_note(
+                "paths beyond the budget are uncovered; raise the budget or simplify guards",
+            ),
+        );
     }
 
     // RP4403: actions no feasible path selects. Skipped when enumeration
@@ -338,32 +279,26 @@ pub fn check_plan_wcet(
     pre: &CompiledDesign,
     post: &CompiledDesign,
     post_prog: Option<&Program>,
-    opts: &CoverOptions,
 ) -> Vec<Diagnostic> {
-    let pre_cov = cover_design(pre, None, opts);
-    let post_cov = cover_design(post, None, opts);
+    let pre_cov = cover_design(pre, None, MAX_WORLDS);
+    let post_cov = cover_design(post, None, MAX_WORLDS);
     if pre_cov.overflowed || post_cov.overflowed {
         // An incomplete enumeration cannot prove a regression; the RP4401
         // warning already surfaced through `cover_design` callers.
         return Vec::new();
     }
     let (pre_wcet, post_wcet) = (pre_cov.wcet_ns, post_cov.wcet_ns);
-    if pre_wcet > 0.0 && post_wcet > pre_wcet * opts.wcet_slack {
-        let span = post_prog.and_then(|p| {
-            p.ingress
-                .first()
-                .and_then(|st| p.spans.get(ItemKind::Stage, &st.name))
-        });
+    if pre_wcet > 0.0 && post_wcet > pre_wcet * WCET_SLACK {
         return vec![Diagnostic::error(
             codes::PLAN_WCET_REGRESSION,
             format!(
                 "update plan regresses the static worst-case per-packet cost bound: \
                  {pre_wcet:.0} ns before, {post_wcet:.0} ns after (×{:.1}, allowed slack ×{:.1})",
                 post_wcet / pre_wcet,
-                opts.wcet_slack
+                WCET_SLACK
             ),
         )
-        .with_span(span)
+        .with_span(post_prog.and_then(first_stage_span))
         .with_note(
             "the longest feasible path through the updated pipeline does disproportionately more \
              work; split the update or set `force` to apply anyway",

@@ -29,7 +29,7 @@ use ipsa_core::predicate::CmpOp;
 use ipsa_core::table::MatchKind;
 
 /// Width/layout answers from the checked semantic environment.
-pub struct AstWidths<'a>(pub &'a Env);
+pub(crate) struct AstWidths<'a>(pub &'a Env);
 
 impl Widths for AstWidths<'_> {
     fn field_width(&self, header: &str, field: &str) -> usize {
@@ -56,7 +56,7 @@ impl Widths for AstWidths<'_> {
 
 /// Result of one symbolic run of a program.
 #[derive(Debug)]
-pub struct AstRun {
+pub(crate) struct AstRun {
     /// Final packet state.
     pub state: SymState,
     /// What happened to the packet.
@@ -100,7 +100,7 @@ impl Args<'_> {
 /// `env`) — in particular RP4101 (use-before-parse) cleanliness is what
 /// makes "header validity = wire presence" a faithful model of the
 /// device's parse-on-demand behavior.
-pub fn eval_ast(prog: &Program, env: &Env, oracle: &mut Oracle) -> AstRun {
+pub(crate) fn eval_ast(prog: &Program, env: &Env, oracle: &mut Oracle) -> AstRun {
     let widths = AstWidths(env);
     let mut st = SymState::default();
     let mut hits = Vec::new();

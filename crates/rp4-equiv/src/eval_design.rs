@@ -29,7 +29,7 @@ use crate::term::{alu, hash, trunc, Term};
 
 /// Width/layout answers from a compiled design (header linkage + declared
 /// metadata).
-pub struct DesignWidths<'a>(&'a CompiledDesign);
+pub(crate) struct DesignWidths<'a>(&'a CompiledDesign);
 
 impl Widths for DesignWidths<'_> {
     fn field_width(&self, header: &str, field: &str) -> usize {
@@ -87,7 +87,7 @@ impl ArgsSource {
 /// One symbolic table hit observed during evaluation — enough for the
 /// witness generator to synthesize a concrete entry that reproduces it.
 #[derive(Debug, Clone)]
-pub struct TableHitTrace {
+pub(crate) struct TableHitTrace {
     /// Table name.
     pub table: String,
     /// Hit action tag (1-based).
@@ -99,7 +99,7 @@ pub struct TableHitTrace {
 
 /// Result of one symbolic run of a design.
 #[derive(Debug)]
-pub struct DesignRun {
+pub(crate) struct DesignRun {
     /// Final packet state.
     pub state: SymState,
     /// What happened to the packet.
@@ -107,11 +107,11 @@ pub struct DesignRun {
     /// Table hits along the taken path (for witness concretization).
     pub hits: Vec<TableHitTrace>,
     /// Work performed along the path (slots, lookups, primitives), priced
-    /// by `rp4-cover`'s static cost bounds. `parsed_headers` is left 0 —
+    /// by the static cost bounds of path coverage. `parsed_headers` is left 0 —
     /// the caller derives it from the world's validity decisions.
     pub work: PathWork,
     /// Matcher arms taken, as `(stage_name, arm index)` — the hook
-    /// `rp4-cover` uses to prune paths through arms `rp4-dfa` proved
+    /// path coverage uses to prune paths through arms `rp4-dfa` proved
     /// unreachable.
     pub arms: Vec<(String, usize)>,
 }
@@ -120,7 +120,7 @@ pub struct DesignRun {
 /// `oracle`. When `allowed_stages` is given, a template is evaluated only
 /// if *every* `+`-joined member of its `stage_name` is in the set (used to
 /// restrict a pre/post incremental comparison to untouched functions).
-pub fn eval_design(
+pub(crate) fn eval_design(
     design: &CompiledDesign,
     oracle: &mut Oracle,
     allowed_stages: Option<&HashSet<String>>,

@@ -7,7 +7,8 @@
 //! a decision either side makes is seen identically by the other — the
 //! enumeration aligns paths by *what was asked*, not by where in the
 //! pipeline the question arose. Worlds are enumerated by depth-first
-//! search over a trail of choice points.
+//! search over a trail of choice points, and [`enumerate`] is the one loop
+//! that drives it: every analysis of the crate is a visitor of it.
 //!
 //! ## Why this is enough to validate stage merging
 //!
@@ -24,13 +25,23 @@
 //! template runs one table and the source program runs two.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::ControlFlow;
+
+use ipsa_core::template::CompiledDesign;
 
 use crate::term::Term;
 
+/// World budget of every enumeration: how many worlds (execution paths)
+/// are visited before the enumeration reports itself incomplete.
+pub const MAX_WORLDS: usize = 65_536;
+
+/// Decision budget: how many oracle decisions one world may take.
+pub(crate) const MAX_DECISIONS: usize = 96;
+
 /// Comparison operators appearing in decision keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum CmpKind {
+pub(crate) enum CmpKind {
     Lt,
     Le,
     Gt,
@@ -39,7 +50,7 @@ pub enum CmpKind {
 
 /// A canonical question about the symbolic packet.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Key {
+pub(crate) enum Key {
     /// Is this header present on the wire? (true / false)
     Validity(String),
     /// Does `lhs == val` hold? (true / false; equalities on the same
@@ -74,7 +85,7 @@ enum Frame {
 }
 
 /// The shared decision oracle. See the module docs.
-pub struct Oracle {
+pub(crate) struct Oracle {
     assigned: HashMap<Key, usize>,
     trail: Vec<Frame>,
     /// Operand → constant it is currently bound equal to.
@@ -84,12 +95,12 @@ pub struct Oracle {
     /// Hard cap on decisions per world (guards runaway models).
     max_decisions: usize,
     /// Set when a world exceeded `max_decisions`.
-    pub overflowed: bool,
+    overflowed: bool,
 }
 
 impl Oracle {
     /// Creates an oracle enumerating `1 + tags` outcomes per table.
-    pub fn new(arity: HashMap<String, usize>, max_decisions: usize) -> Self {
+    pub(crate) fn new(arity: HashMap<String, usize>, max_decisions: usize) -> Self {
         Oracle {
             assigned: HashMap::new(),
             trail: Vec::new(),
@@ -116,13 +127,13 @@ impl Oracle {
     }
 
     /// Is header `h` present on the wire in this world?
-    pub fn validity(&mut self, header: &str) -> bool {
+    pub(crate) fn validity(&mut self, header: &str) -> bool {
         self.choose(Key::Validity(header.to_string()), 2) == 0
     }
 
     /// Does `lhs == val` hold in this world? Constants fold before this is
     /// called. Deciding `x == c` true forces `x == c'` false for `c' != c`.
-    pub fn eq_const(&mut self, lhs: Term, val: u128) -> bool {
+    pub(crate) fn eq_const(&mut self, lhs: Term, val: u128) -> bool {
         let key = Key::EqConst {
             lhs: lhs.clone(),
             val,
@@ -147,12 +158,12 @@ impl Oracle {
     }
 
     /// Does `lhs <op> rhs` hold in this world?
-    pub fn cmp(&mut self, op: CmpKind, lhs: Term, rhs: Term) -> bool {
+    pub(crate) fn cmp(&mut self, op: CmpKind, lhs: Term, rhs: Term) -> bool {
         self.choose(Key::Cmp { op, lhs, rhs }, 2) == 0
     }
 
     /// Table lookup outcome: `None` is a miss, `Some(tag)` a hit.
-    pub fn table(&mut self, name: &str) -> Option<u32> {
+    pub(crate) fn table(&mut self, name: &str) -> Option<u32> {
         let n = 1 + self.arity.get(name).copied().unwrap_or(0);
         match self.choose(Key::Table(name.to_string()), n) {
             0 => None,
@@ -163,7 +174,7 @@ impl Oracle {
     /// Advances to the next unexplored world. Returns `false` when the
     /// space is exhausted. The memoized prefix below the flipped choice is
     /// kept so re-evaluation replays deterministically.
-    pub fn next_world(&mut self) -> bool {
+    pub(crate) fn next_world(&mut self) -> bool {
         self.overflowed = false;
         while let Some(frame) = self.trail.pop() {
             match frame {
@@ -191,7 +202,7 @@ impl Oracle {
 
     /// Human-readable summary of the current world's decisions, for
     /// diagnostics.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         let mut parts = Vec::new();
         for frame in &self.trail {
             let (key, idx) = match frame {
@@ -222,7 +233,7 @@ impl Oracle {
     }
 
     /// The current world's raw decisions (for witness concretization).
-    pub fn decisions(&self) -> Vec<(Key, usize)> {
+    pub(crate) fn decisions(&self) -> Vec<(Key, usize)> {
         self.trail
             .iter()
             .filter_map(|f| match f {
@@ -231,6 +242,75 @@ impl Oracle {
                 Frame::Bind { .. } => None,
             })
             .collect()
+    }
+}
+
+/// Why an enumeration stopped before visiting every world.
+#[derive(Debug)]
+pub(crate) enum Overflow {
+    /// A world needed more than this many decisions.
+    Decisions(usize),
+    /// The world budget ran out.
+    Worlds {
+        /// Worlds visited.
+        visited: usize,
+        /// The budget.
+        budget: usize,
+    },
+}
+
+impl fmt::Display for Overflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Overflow::Decisions(n) => write!(f, "a path needed more than {n} decisions"),
+            Overflow::Worlds { visited, budget } => {
+                write!(f, "stopped after {visited} worlds (budget {budget})")
+            }
+        }
+    }
+}
+
+/// Enumerates the worlds of an oracle whose table outcomes range over the
+/// largest action count any of `designs` gives each table.
+///
+/// For each world, `eval` runs the evaluators against the oracle; a world
+/// that overflowed `max_decisions` stops the enumeration before `visit`
+/// sees it. `visit` then inspects the result and may stop the enumeration
+/// by breaking; after it, `max_worlds` is checked. Returns why the
+/// enumeration stopped short, or `None` when every world was visited or
+/// `visit` broke.
+pub(crate) fn enumerate<R>(
+    designs: &[&CompiledDesign],
+    max_worlds: usize,
+    max_decisions: usize,
+    mut eval: impl FnMut(&mut Oracle) -> R,
+    mut visit: impl FnMut(R, &mut Oracle) -> ControlFlow<()>,
+) -> Option<Overflow> {
+    let mut arity: HashMap<String, usize> = HashMap::new();
+    for (name, table) in designs.iter().flat_map(|d| &d.tables) {
+        let n = arity.entry(name.clone()).or_insert(0);
+        *n = (*n).max(table.actions.len());
+    }
+    let mut oracle = Oracle::new(arity, max_decisions);
+    let mut worlds = 0usize;
+    loop {
+        worlds += 1;
+        let run = eval(&mut oracle);
+        if oracle.overflowed {
+            return Some(Overflow::Decisions(max_decisions));
+        }
+        if visit(run, &mut oracle).is_break() {
+            return None;
+        }
+        if worlds >= max_worlds {
+            return Some(Overflow::Worlds {
+                visited: worlds,
+                budget: max_worlds,
+            });
+        }
+        if !oracle.next_world() {
+            return None;
+        }
     }
 }
 

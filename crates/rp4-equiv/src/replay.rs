@@ -11,12 +11,10 @@
 //! [`Device`], so interpreter references, compiled switches, sharded
 //! runtimes, and remote fleet agents all replay identically.
 
+use crate::{Coverage, PathWitness};
 use ipsa_core::control::{ControlMsg, Device};
 use ipsa_core::error::CoreError;
 use ipsa_netpkt::packet::Packet;
-use rp4_equiv::PathWitness;
-
-use crate::Coverage;
 
 /// How the device under replay drains its traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +91,7 @@ pub fn replay_corpus<D: Device>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cover_design, CoverOptions};
+    use crate::{cover_design, MAX_WORLDS};
     use ipbm::{IpbmConfig, IpbmSwitch};
     use rp4c::{full_compile, CompilerTarget};
 
@@ -128,7 +126,7 @@ mod tests {
         let c = full_compile(&prog, &CompilerTarget::ipbm()).expect("compiles");
         let mut sw = IpbmSwitch::new(IpbmConfig::default());
         sw.install(&c.design).expect("installs");
-        let cov = cover_design(&c.design, None, &CoverOptions::default());
+        let cov = cover_design(&c.design, None, MAX_WORLDS);
         (sw, cov)
     }
 

@@ -19,7 +19,7 @@ use crate::term::{alu, trunc, SymAluOp, Term};
 
 /// Side-specific width/layout information (the AST side answers from the
 /// checked environment, the design side from the header linkage).
-pub trait Widths {
+pub(crate) trait Widths {
     /// Declared width of `header.field` in bits (128 when unknown).
     fn field_width(&self, header: &str, field: &str) -> usize;
     /// Declared width of a metadata field in bits (128 when unknown,
@@ -31,7 +31,7 @@ pub trait Widths {
 
 /// What finally happened to the packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// Emitted on the given port.
     Forwarded(Term),
     /// Dropped by an action (`drop()`, TTL/hop-limit expiry, drop mark).
@@ -45,7 +45,7 @@ pub enum Outcome {
 
 /// Symbolic per-packet state.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct SymState {
+pub(crate) struct SymState {
     /// Explicit validity overrides from header insertion/removal. Headers
     /// not listed here keep their oracle-decided wire validity.
     pub validity: BTreeMap<String, bool>,
@@ -63,7 +63,7 @@ pub struct SymState {
 
 impl SymState {
     /// Effective validity of a header in the current world.
-    pub fn is_valid(&self, oracle: &mut Oracle, header: &str) -> bool {
+    pub(crate) fn is_valid(&self, oracle: &mut Oracle, header: &str) -> bool {
         match self.validity.get(header) {
             Some(&v) => v,
             None => oracle.validity(header),
@@ -72,7 +72,12 @@ impl SymState {
 
     /// Reads a header field; `None` when the header is absent (predicates
     /// treat that as a failed comparison, actions as a runtime error).
-    pub fn read_field(&self, oracle: &mut Oracle, header: &str, field: &str) -> Option<Term> {
+    pub(crate) fn read_field(
+        &self,
+        oracle: &mut Oracle,
+        header: &str,
+        field: &str,
+    ) -> Option<Term> {
         if !self.is_valid(oracle, header) {
             return None;
         }
@@ -86,7 +91,7 @@ impl SymState {
 
     /// Writes a header field (truncated to its declared width). Errors when
     /// the header is absent, as the concrete `set_field` would.
-    pub fn write_field(
+    pub(crate) fn write_field(
         &mut self,
         oracle: &mut Oracle,
         widths: &dyn Widths,
@@ -105,7 +110,7 @@ impl SymState {
 
     /// Reads a metadata field, intrinsics included (mirrors
     /// `PacketMeta::get`).
-    pub fn read_meta(&self, name: &str) -> Term {
+    pub(crate) fn read_meta(&self, name: &str) -> Term {
         match name {
             "egress_port" => self.egress.clone().unwrap_or(Term::Const(0)),
             "drop" => Term::Const(self.drop as u128),
@@ -118,7 +123,7 @@ impl SymState {
     /// Writes a metadata field through a `Set`-style assignment: truncate
     /// to the declared width, then route intrinsics (mirrors
     /// `PacketMeta::set`).
-    pub fn write_meta(
+    pub(crate) fn write_meta(
         &mut self,
         oracle: &mut Oracle,
         widths: &dyn Widths,
@@ -145,7 +150,7 @@ impl SymState {
 /// A comparison decision shared by both predicate languages: constants
 /// fold, everything else goes through the oracle with `==`/`!=` routed
 /// through the same equality key so exclusivity forcing applies.
-pub fn decide_cmp(
+pub(crate) fn decide_cmp(
     oracle: &mut Oracle,
     op: ipsa_core::predicate::CmpOp,
     lhs: Term,
@@ -187,17 +192,17 @@ pub fn decide_cmp(
 }
 
 /// `forward(port)`: `meta.egress_port = port as u16`.
-pub fn prim_forward(st: &mut SymState, port: Term) {
+pub(crate) fn prim_forward(st: &mut SymState, port: Term) {
     st.egress = Some(trunc(16, port));
 }
 
 /// `mark(value)`: unlike a `Set` to `meta.mark`, no width truncation.
-pub fn prim_mark(st: &mut SymState, value: Term) {
+pub(crate) fn prim_mark(st: &mut SymState, value: Term) {
     st.mark = Some(value);
 }
 
 /// `mark_if_count_over(threshold)`.
-pub fn prim_mark_if_counter_over(
+pub(crate) fn prim_mark_if_counter_over(
     st: &mut SymState,
     oracle: &mut Oracle,
     counter: Option<Term>,
@@ -214,7 +219,7 @@ pub fn prim_mark_if_counter_over(
 }
 
 /// `dec_ttl_v4()`.
-pub fn prim_dec_ttl_v4(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Widths) {
+pub(crate) fn prim_dec_ttl_v4(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Widths) {
     if !st.is_valid(oracle, "ipv4") {
         return;
     }
@@ -246,7 +251,7 @@ pub fn prim_dec_ttl_v4(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Widt
 }
 
 /// `dec_hop_limit_v6()`.
-pub fn prim_dec_hop_limit_v6(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Widths) {
+pub(crate) fn prim_dec_hop_limit_v6(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Widths) {
     if !st.is_valid(oracle, "ipv6") {
         return;
     }
@@ -267,7 +272,7 @@ pub fn prim_dec_hop_limit_v6(st: &mut SymState, oracle: &mut Oracle, widths: &dy
 }
 
 /// `refresh_ipv4_checksum()`: errors when ipv4 is absent, like the VM.
-pub fn prim_refresh_ipv4_checksum(
+pub(crate) fn prim_refresh_ipv4_checksum(
     st: &mut SymState,
     oracle: &mut Oracle,
     widths: &dyn Widths,
@@ -287,7 +292,7 @@ pub fn prim_refresh_ipv4_checksum(
 }
 
 /// `srv6_advance()`.
-pub fn prim_srv6_advance(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Widths) {
+pub(crate) fn prim_srv6_advance(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Widths) {
     if !st.is_valid(oracle, "srh") {
         return;
     }
@@ -315,6 +320,6 @@ pub fn prim_srv6_advance(st: &mut SymState, oracle: &mut Oracle, widths: &dyn Wi
 }
 
 /// `remove_header(h)`.
-pub fn prim_remove_header(st: &mut SymState, header: &str) {
+pub(crate) fn prim_remove_header(st: &mut SymState, header: &str) {
     st.validity.insert(header.to_string(), false);
 }

@@ -17,7 +17,7 @@ use ipsa_netpkt::bitfield::truncate_to_width;
 
 /// A symbolic 128-bit value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Term {
+pub(crate) enum Term {
     /// A literal.
     Const(u128),
     /// The value a header field had on the wire (before any rewrite).
@@ -87,7 +87,7 @@ pub enum Term {
 /// serve as decision keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
-pub enum SymAluOp {
+pub(crate) enum SymAluOp {
     Add,
     Sub,
     And,
@@ -113,7 +113,7 @@ impl From<AluOp> for SymAluOp {
 
 impl SymAluOp {
     /// Concrete semantics; must stay bit-identical to `AluOp::apply`.
-    pub fn apply(self, a: u128, b: u128) -> u128 {
+    pub(crate) fn apply(self, a: u128, b: u128) -> u128 {
         match self {
             SymAluOp::Add => a.wrapping_add(b),
             SymAluOp::Sub => a.wrapping_sub(b),
@@ -128,7 +128,7 @@ impl SymAluOp {
 
 impl Term {
     /// The constant value, if this term is a literal.
-    pub fn as_const(&self) -> Option<u128> {
+    pub(crate) fn as_const(&self) -> Option<u128> {
         match self {
             Term::Const(v) => Some(*v),
             _ => None,
@@ -137,7 +137,7 @@ impl Term {
 }
 
 /// `a <op> b`, folding constants with the VM's exact wrapping semantics.
-pub fn alu(op: SymAluOp, a: Term, b: Term) -> Term {
+pub(crate) fn alu(op: SymAluOp, a: Term, b: Term) -> Term {
     if let (Some(x), Some(y)) = (a.as_const(), b.as_const()) {
         return Term::Const(op.apply(x, y));
     }
@@ -149,7 +149,7 @@ pub fn alu(op: SymAluOp, a: Term, b: Term) -> Term {
 }
 
 /// `hash(inputs) % modulo`, folding all-constant inputs.
-pub fn hash(inputs: Vec<Term>, modulo: u64) -> Term {
+pub(crate) fn hash(inputs: Vec<Term>, modulo: u64) -> Term {
     let consts: Option<Vec<u128>> = inputs.iter().map(Term::as_const).collect();
     if let Some(vals) = consts {
         let mut h = ipsa_core::hash::hash_values(&vals) as u128;
@@ -165,7 +165,7 @@ pub fn hash(inputs: Vec<Term>, modulo: u64) -> Term {
 /// spilling intermediates through 128-bit scratch metadata is invisible:
 /// `trunc(128, t) == t`, nested truncations collapse to the narrowest, and
 /// a modulo-reduced hash that already fits passes through.
-pub fn trunc(bits: usize, t: Term) -> Term {
+pub(crate) fn trunc(bits: usize, t: Term) -> Term {
     if bits >= 128 {
         return t;
     }

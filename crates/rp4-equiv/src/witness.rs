@@ -32,7 +32,7 @@ const MAX_INJECTIONS: usize = 64;
 
 /// Why a symbolic world could not be concretized into a witness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipKind {
+pub(crate) enum SkipKind {
     /// The world's constraints are mutually contradictory: no wire packet
     /// can take this path on any device. Path enumerators prune these.
     Infeasible,
@@ -46,7 +46,7 @@ pub enum SkipKind {
 #[derive(Debug, Clone)]
 pub struct Skip {
     /// Whether the path is provably infeasible or merely uncoverable.
-    pub kind: SkipKind,
+    pub(crate) kind: SkipKind,
     /// Human-readable reason, suitable for a diagnostic note.
     pub reason: String,
 }
@@ -67,7 +67,7 @@ fn uncoverable(reason: impl Into<String>) -> Skip {
 
 /// A concretized execution-path witness: a wire packet plus the minimal
 /// table-entry setup that drives a real device down the same path the
-/// symbolic world took. This is the unit of `rp4-cover`'s coverage corpus
+/// symbolic world took. This is the unit of the coverage corpus
 /// and the golden-compare oracle planned for the native codegen backend.
 #[derive(Debug, Clone)]
 pub struct PathWitness {
@@ -85,7 +85,7 @@ pub struct PathWitness {
 /// side's table-hit trace) into a [`PathWitness`]. `Err` classifies the
 /// world as provably [`SkipKind::Infeasible`] or merely
 /// [`SkipKind::Uncoverable`].
-pub fn concretize_world(
+pub(crate) fn concretize_world(
     design: &CompiledDesign,
     decisions: &[(Key, usize)],
     hits: &[TableHitTrace],
@@ -164,7 +164,7 @@ struct Concrete {
 /// Runs the divergent world on an `ipbm` device and reports whether the
 /// device agrees with the design-side model. Returns note lines for the
 /// diagnostic.
-pub fn cross_check(
+pub(crate) fn cross_check(
     design: &CompiledDesign,
     decisions: &[(Key, usize)],
     hits: &[TableHitTrace],

@@ -2,13 +2,13 @@
 //! must reach 100% feasible-path coverage, and the WCET bound must be
 //! finite and positive.
 
-use rp4_cover::{corpus_json, cover_design, CoverOptions};
+use rp4_equiv::{corpus_json, cover_design, Coverage, MAX_WORLDS};
 
-fn cover(src: &str) -> rp4_cover::Coverage {
+fn cover(src: &str) -> Coverage {
     let prog = rp4_lang::parse(src).expect("bundled program parses");
     let target = rp4c::CompilerTarget::ipbm();
     let comp = rp4c::full_compile(&prog, &target).expect("bundled program compiles");
-    cover_design(&comp.design, Some(&comp.program), &CoverOptions::default())
+    cover_design(&comp.design, Some(&comp.program), MAX_WORLDS)
 }
 
 #[test]
@@ -63,13 +63,13 @@ fn wcet_grows_when_function_loads() {
     let comp = rp4c::full_compile(&prog, &target).unwrap();
     let device = ipbm::IpbmSwitch::new(ipbm::IpbmConfig::default());
     let (mut flow, _) = ipsa_controller::Rp4Flow::install(device, comp, target).unwrap();
-    let base = cover_design(&flow.design, None, &CoverOptions::default());
+    let base = cover_design(&flow.design, None, MAX_WORLDS);
     flow.run_script(
         ipsa_controller::programs::ECMP_SCRIPT,
         &ipsa_controller::programs::bundled_sources,
     )
     .unwrap();
-    let ecmp = cover_design(&flow.design, None, &CoverOptions::default());
+    let ecmp = cover_design(&flow.design, None, MAX_WORLDS);
     assert!(!base.overflowed && !ecmp.overflowed);
     assert!(
         ecmp.wcet_ns >= base.wcet_ns,

@@ -4,7 +4,7 @@
 //! real `ipbm` device — so a green run here certifies both the compiler
 //! and the validator's own model.
 
-use rp4_equiv::{check_program_design, EquivOptions};
+use rp4_equiv::check_program_design;
 use rp4_lang::Program;
 
 const BASE: &str = include_str!("../../../programs/base.rp4");
@@ -24,7 +24,7 @@ fn prove(snippet: Option<(&str, &str)>) {
     let env = rp4_lang::check(&prog, None).expect("program checks");
     let target = rp4c::CompilerTarget::ipbm();
     let compilation = rp4c::full_compile(&prog, &target).expect("compiles");
-    let diags = check_program_design(&prog, &env, &compilation.design, &EquivOptions::default());
+    let diags = check_program_design(&prog, &env, &compilation.design);
     let errors: Vec<_> = diags
         .iter()
         .filter(|d| d.severity == rp4_lang::Severity::Error)

@@ -3,7 +3,7 @@
 //! behave identically (seam b), and the failback diff pair must round-trip
 //! the design to an exact identity (seam c).
 
-use rp4_equiv::{check_design_design, check_roundtrip, EquivOptions};
+use rp4_equiv::{check_design_design, check_roundtrip};
 use rp4_lang::{Program, Severity};
 use rp4c::{design_diff, full_compile, incremental_compile, CompilerTarget, UpdateCmd};
 
@@ -122,7 +122,7 @@ fn updates_preserve_untouched_functions() {
             rp4c::LayoutAlgo::Dp,
         )
         .unwrap_or_else(|e| panic!("{name}: incremental compile failed: {e:?}"));
-        let diags = check_design_design(&base.design, &plan.design, &EquivOptions::default());
+        let diags = check_design_design(&base.design, &plan.design);
         let errs = errors(&diags);
         assert!(errs.is_empty(), "{name}: update not equivalent:\n{errs:#?}");
     }

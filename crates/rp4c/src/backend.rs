@@ -16,10 +16,10 @@ use ipsa_core::memory::{blocks_needed, BlockKind};
 use ipsa_core::template::{CompiledDesign, FuncDef};
 use ipsa_netpkt::header::{HeaderType, ImplicitParser, ParserTransition};
 use ipsa_netpkt::linkage::HeaderLinkage;
+use rp4_dfa::ResourceLimits;
 use rp4_lang::ast::Program;
 use rp4_lang::semantic::{check, Env};
 use rp4_lang::{Diagnostic, Severity};
-use rp4_verify::ResourceLimits;
 
 use crate::api_gen::{generate_apis, TableApi};
 use crate::layout::{initial_layout, LayoutError};
@@ -372,7 +372,7 @@ pub fn lint_program(
 ) -> Vec<Diagnostic> {
     let limits = verify_limits(target);
     let (mut findings, dataflow) = rp4_dfa::analyze_program(prog, env, &limits);
-    findings.extend(rp4_verify::verify_pool(
+    findings.extend(rp4_dfa::verify_pool(
         tables,
         actions,
         &limits,
@@ -620,7 +620,7 @@ mod tests {
             Err(CompileError::Verify(diags)) => {
                 assert!(diags
                     .iter()
-                    .any(|d| d.code == rp4_verify::codes::MEM_OVERCOMMIT));
+                    .any(|d| d.code == rp4_dfa::codes::MEM_OVERCOMMIT));
             }
             other => panic!("expected RP4103 verify error, got {other:?}"),
         }
@@ -641,7 +641,7 @@ mod tests {
             CompileError::Verify(diags) => {
                 assert!(diags
                     .iter()
-                    .any(|d| d.code == rp4_verify::codes::USE_BEFORE_PARSE));
+                    .any(|d| d.code == rp4_dfa::codes::USE_BEFORE_PARSE));
             }
             other => panic!("expected RP4101, got {other:?}"),
         }

@@ -781,7 +781,7 @@ pub fn incremental_compile(
     // Self-check: the assembled message diff must keep every structural
     // update inside its drain window (RP4105). A failure here is a compiler
     // bug, but surfacing it as a diagnostic beats corrupting a live device.
-    let unsafe_msgs: Vec<_> = rp4_verify::verify_msgs(&msgs)
+    let unsafe_msgs: Vec<_> = rp4_dfa::verify_msgs(&msgs)
         .into_iter()
         .filter(|d| d.severity == rp4_lang::Severity::Error)
         .collect();

@@ -4,11 +4,11 @@
 //! every fixture under `programs/bad/` must report its expected RP4xxx
 //! code anchored to a source span. RP4105 (update-plan safety) has no
 //! `.rp4` fixture — plans are message sequences, not programs — and is
-//! covered by `rp4_verify::plan` unit tests plus the controller's
+//! covered by `rp4_dfa::plan` unit tests plus the controller's
 //! tampered-plan test.
 
+use rp4_dfa::codes;
 use rp4_lang::Severity;
-use rp4_verify::codes;
 use rp4c::{full_compile, Compilation, CompileError, CompilerTarget};
 
 const BASE: &str = include_str!("../../../programs/base.rp4");
@@ -91,27 +91,27 @@ fn dead_code_fixture_reports_rp4106() {
 
 #[test]
 fn removed_header_use_fixture_reports_rp4301() {
-    expect_error(BAD_RP4301, rp4_dfa::codes::INVALID_HEADER_USE);
+    expect_error(BAD_RP4301, codes::INVALID_HEADER_USE);
 }
 
 #[test]
 fn uninit_meta_read_fixture_reports_rp4302() {
-    expect_warning(BAD_RP4302, rp4_dfa::codes::UNINIT_META_READ);
+    expect_warning(BAD_RP4302, codes::UNINIT_META_READ);
 }
 
 #[test]
 fn dead_store_fixture_reports_rp4303() {
-    expect_warning(BAD_RP4303, rp4_dfa::codes::DEAD_STORE);
+    expect_warning(BAD_RP4303, codes::DEAD_STORE);
 }
 
 #[test]
 fn unreachable_arm_fixture_reports_rp4304() {
-    expect_warning(BAD_RP4304, rp4_dfa::codes::UNREACHABLE);
+    expect_warning(BAD_RP4304, codes::UNREACHABLE);
 }
 
 #[test]
 fn tautological_guard_fixture_reports_rp4305() {
-    expect_warning(BAD_RP4305, rp4_dfa::codes::TAUTOLOGICAL_GUARD);
+    expect_warning(BAD_RP4305, codes::TAUTOLOGICAL_GUARD);
 }
 
 /// Pre-update variant of the RP4306 fixture: identical reader, plus the
@@ -176,7 +176,7 @@ fn plan_regression_pair_reports_rp4306() {
     let diags = rp4_dfa::check_plan(&pre, &post);
     let hit = diags
         .iter()
-        .find(|d| d.code == rp4_dfa::codes::PLAN_FACT_REGRESSION)
+        .find(|d| d.code == codes::PLAN_FACT_REGRESSION)
         .unwrap_or_else(|| panic!("no RP4306 among {diags:#?}"));
     assert_eq!(hit.severity, Severity::Error);
     assert!(hit.span.is_some(), "RP4306 finding lost its span");
@@ -224,9 +224,7 @@ table port_map {"#,
         "RP4106 missing: {about_stage:#?}"
     );
     assert!(
-        !about_stage
-            .iter()
-            .any(|d| d.code == rp4_dfa::codes::UNREACHABLE),
+        !about_stage.iter().any(|d| d.code == codes::UNREACHABLE),
         "RP4304 should have been merged away: {about_stage:#?}"
     );
 }

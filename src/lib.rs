@@ -8,7 +8,7 @@
 //! | architecture | [`core`] | TSP templates, action VM, tables, memory pool, crossbar |
 //! | languages | [`rp4_lang`], [`p4_lang`] | rP4 (Fig. 2 EBNF) and a P4-16 subset + HLIR |
 //! | compilers | [`rp4c`] | rp4fc (P4→rP4) and rp4bc (full + incremental) |
-//! | analysis | [`rp4_dfa`], [`rp4_equiv`], [`rp4_cover`] | AST lints (RP41xx, RP43xx); translation validation; path coverage + WCET bounds |
+//! | analysis | [`rp4_dfa`], [`rp4_equiv`] | static lints (RP41xx, RP43xx); symbolic evaluation: translation validation (RP42xx), path coverage + WCET bounds (RP44xx) |
 //! | devices | [`ipbm`], [`pisa_bm`] | the IPSA software switch and the PISA baseline |
 //! | hardware | [`hwmodel`] | the FPGA resource/power/throughput model |
 //! | control | [`controller`] | scripts, table APIs, the two design flows |
@@ -43,7 +43,6 @@ pub use ipsa_hwmodel as hwmodel;
 pub use ipsa_netpkt as netpkt;
 pub use p4_lang;
 pub use pisa_bm;
-pub use rp4_cover;
 pub use rp4_dfa;
 pub use rp4_equiv;
 pub use rp4_lang;

@@ -99,11 +99,19 @@ fn precompiled_plan_pays_only_load_time() {
     assert!(flow.device.sm.table("flow_probe").is_some());
     flow.design.validate().unwrap();
 
-    // Table ops are rejected at plan time (they are runtime operations).
+    // Table ops are rejected at plan time (they are runtime operations),
+    // and the rejection names the script line that holds one.
     let e = flow
-        .plan_script("table_add port_map set_ifindex 9 => 9", &|_| None)
+        .plan_script(
+            "# plan\nunload --func_name probe\ntable_add port_map set_ifindex 9 => 9",
+            &|_| None,
+        )
         .unwrap_err();
-    assert!(matches!(e, controller::ControllerError::Script(_)), "{e}");
+    assert!(
+        matches!(&e, controller::ControllerError::Script(s) if s.line == 3),
+        "{e}"
+    );
+    assert!(e.to_string().starts_with("script line 3: "), "{e}");
 }
 
 /// A tampered plan that silently changes an untouched function's behavior
