@@ -25,8 +25,11 @@
 //! * the dataflow facts of the latched state ([`facts::derive`]) drop
 //!   provably redundant parses, unreachable arms and dead stores.
 //!
-//! Per packet, the fast path performs no `String` comparison, no `HashMap`
-//! probe by name, and no heap allocation (scratch buffers live in
+//! Per packet, the fast path performs no `String` comparison (a compiled
+//! table checks its slab slot by creation stamp,
+//! [`crate::sm::TableStore::stamp`]), no `HashMap` probe by name, no
+//! interner lock (parsing walks the linkage's resolved nodes, see
+//! [`HeaderLinkage`]), and no heap allocation (scratch buffers live in
 //! [`EvalScratch`] and are reused). Compilation is conservative: any
 //! construct it cannot pre-resolve either falls back to the interpreter for
 //! the whole pipeline (unknown table/action, crossbar violation — cases the
@@ -687,6 +690,9 @@ pub struct CompiledCall {
 pub struct CompiledTable {
     /// Slab index into the storage module.
     pub store: usize,
+    /// [`crate::sm::TableStore::stamp`] of the table at `store` when
+    /// compiled: the per-packet check that the slot still holds it.
+    pub stamp: u64,
     /// Table name, for re-resolving `store` if the slab index goes stale
     /// between compilation and a packet (e.g. a table was dropped and the
     /// compiled program not yet invalidated).
@@ -841,6 +847,7 @@ pub fn compile(
                                 .ok_or_else(|| CoreError::UnknownTable(name.clone()))?;
                             tables.push(CompiledTable {
                                 store,
+                                stamp: ts.stamp(),
                                 name: name.clone(),
                                 key: ts
                                     .table
@@ -945,11 +952,11 @@ impl CompiledPath {
         sm.mem_accesses += ct.accesses;
         // The slab index was resolved at compile time, but the storage
         // module may have shifted underneath a stale compiled program
-        // (dropped or re-created table): re-resolve by name rather than
-        // panicking, and report the packet-level error the interpreter
-        // would report if the table is truly gone.
+        // (dropped or re-created table): a stamp mismatch re-resolves by
+        // name rather than panicking, and reports the packet-level error
+        // the interpreter would report if the table is truly gone.
         let store_idx = match sm.store_at(ct.store) {
-            Some(ts) if ts.table.def.name == ct.name => ct.store,
+            Some(ts) if ts.stamp() == ct.stamp => ct.store,
             _ => sm
                 .table_idx(&ct.name)
                 .ok_or_else(|| CoreError::UnknownTable(ct.name.clone()))?,

@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ipsa_core::action::ActionDef;
 use ipsa_core::error::CoreError;
@@ -32,7 +33,21 @@ pub struct TableStore {
     pub table: Table,
     /// Row → block mapping in the pool.
     pub map: TableBlockMap,
+    stamp: u64,
 }
+
+impl TableStore {
+    /// Identity of the [`StorageModule::create_table`] call that built
+    /// this store: unique in the process, kept by clones. A compiled path
+    /// that recorded it can check a slab slot still holds the same table
+    /// with one integer compare.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+}
+
+/// Source of [`TableStore::stamp`]s.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
 
 /// The exact inverse of one entry operation (`AddEntry`/`DelEntry`): the
 /// table's [`RowCheckpoint`] for the key plus where the bytes that row held
@@ -211,7 +226,11 @@ impl StorageModule {
         let map = TableBlockMap::new(&def.name, entry_bits, def.size, kind, blocks)?;
         let name = def.name.clone();
         let table = Table::new(def)?;
-        let store = TableStore { table, map };
+        let store = TableStore {
+            table,
+            map,
+            stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
+        };
         // Reuse a hole left by a destroyed table, else grow the slab.
         let idx = match self.stores.iter().position(|s| s.is_none()) {
             Some(i) => {

@@ -188,50 +188,13 @@ impl HeaderType {
         bitfield::set_bits(data, off, bits, value)?;
         Ok(())
     }
-
-    /// Actual byte length of an instance of this header located at the start
-    /// of `data` (accounts for variable-length headers such as the SRH).
-    pub fn instance_len(&self, data: &[u8]) -> Result<usize, HeaderError> {
-        let fixed = self.fixed_len()?;
-        match &self.var_len_field {
-            None => Ok(fixed),
-            Some(field) => {
-                let v = self.get(data, field)? as usize;
-                Ok(fixed + v * self.var_len_units)
-            }
-        }
-    }
-
-    /// Evaluates the implicit parser's selector over a buffer that starts at
-    /// this header; returns the concatenated selector value, or `None` when
-    /// the header carries no parser.
-    pub fn selector_value(&self, data: &[u8]) -> Result<Option<u128>, HeaderError> {
-        let Some(parser) = &self.parser else {
-            return Ok(None);
-        };
-        let mut acc: u128 = 0;
-        for f in &parser.selector_fields {
-            let (off, bits) = self.field_span(f)?;
-            let v = bitfield::get_bits(data, off, bits)?;
-            acc = (acc << bits) | v;
-        }
-        Ok(Some(acc))
-    }
-
-    /// Looks up the next header name for a selector value.
-    pub fn next_header(&self, selector: u128) -> Option<&str> {
-        self.parser
-            .as_ref()?
-            .transitions
-            .iter()
-            .find(|t| t.tag == selector)
-            .map(|t| t.next.as_str())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::Sym;
+    use crate::linkage::{HeaderLinkage, Node};
     use crate::protocols;
 
     #[test]
@@ -262,14 +225,20 @@ mod tests {
         assert_eq!(h.get(&buf, "dst_addr").unwrap(), 0x0A00_0001);
     }
 
+    /// The node a standard linkage resolves for `name`.
+    fn resolved(g: &HeaderLinkage, name: &str) -> Node {
+        g.node(Sym::intern(name)).expect("registered").clone()
+    }
+
     #[test]
     fn selector_and_transition() {
         let h = protocols::ethernet();
+        let node = resolved(&HeaderLinkage::standard(), "ethernet");
         let mut buf = vec![0u8; 14];
         h.set(&mut buf, "ethertype", 0x0800).unwrap();
-        assert_eq!(h.selector_value(&buf).unwrap(), Some(0x0800));
-        assert_eq!(h.next_header(0x0800), Some("ipv4"));
-        assert_eq!(h.next_header(0x1234), None);
+        assert_eq!(node.next(&buf).unwrap(), Some(Sym::intern("ipv4")));
+        h.set(&mut buf, "ethertype", 0x1234).unwrap();
+        assert_eq!(node.next(&buf).unwrap(), None);
     }
 
     #[test]
@@ -288,6 +257,7 @@ mod tests {
         let mut buf = vec![0u8; fixed + 32];
         // hdr_ext_len counts 8-byte units beyond the first 8 bytes.
         h.set(&mut buf, "hdr_ext_len", 4).unwrap();
-        assert_eq!(h.instance_len(&buf).unwrap(), fixed + 32);
+        let node = resolved(&HeaderLinkage::standard(), "srh");
+        assert_eq!(node.instance_len(fixed, &buf).unwrap(), fixed + 32);
     }
 }

@@ -21,7 +21,8 @@
 //! is what lets a compiled pipeline cache them across packets and epochs.
 
 use std::collections::HashMap;
-use std::sync::{OnceLock, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use serde::{Content, DeError, Deserialize, Serialize};
 
@@ -42,6 +43,40 @@ impl Tab {
         self.names.push(leaked);
         self.index.insert(leaked, id);
         id
+    }
+}
+
+/// Read access to a table. Under `cfg(test)` every acquisition is
+/// counted ([`lock_probe`]), so tests can pin paths that must take none.
+fn read(tab: &'static RwLock<Tab>) -> RwLockReadGuard<'static, Tab> {
+    #[cfg(test)]
+    lock_probe::bump();
+    tab.read().expect("interner poisoned")
+}
+
+/// Write access to a table; counted like [`read`].
+fn write(tab: &'static RwLock<Tab>) -> RwLockWriteGuard<'static, Tab> {
+    #[cfg(test)]
+    lock_probe::bump();
+    tab.write().expect("interner poisoned")
+}
+
+/// Per-thread count of interner lock acquisitions (test builds only).
+#[cfg(test)]
+pub(crate) mod lock_probe {
+    use std::cell::Cell;
+
+    thread_local! {
+        static TAKEN: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn bump() {
+        TAKEN.with(|t| t.set(t.get() + 1));
+    }
+
+    /// Interner locks this thread has taken so far.
+    pub(crate) fn taken() -> u64 {
+        TAKEN.with(Cell::get)
     }
 }
 
@@ -68,25 +103,25 @@ impl Sym {
         if let Some(s) = Sym::lookup(name) {
             return s;
         }
-        Sym(sym_tab().write().expect("interner poisoned").intern(name))
+        Sym(write(sym_tab()).intern(name))
     }
 
     /// Looks `name` up without interning it. `None` means the name has
     /// never been interned — useful on read paths where an unknown name
     /// can only mean "absent".
     pub fn lookup(name: &str) -> Option<Sym> {
-        sym_tab()
-            .read()
-            .expect("interner poisoned")
-            .index
-            .get(name)
-            .copied()
-            .map(Sym)
+        read(sym_tab()).index.get(name).copied().map(Sym)
     }
 
     /// The interned string.
     pub fn as_str(self) -> &'static str {
-        sym_tab().read().expect("interner poisoned").names[self.0 as usize]
+        read(sym_tab()).names[self.0 as usize]
+    }
+
+    /// The dense id, for tables indexed by symbol.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -133,28 +168,32 @@ pub fn meta_id(name: &str) -> u32 {
     if let Some(id) = meta_id_lookup(name) {
         return id;
     }
-    meta_tab().write().expect("interner poisoned").intern(name)
+    let mut tab = write(meta_tab());
+    let id = tab.intern(name);
+    META_COUNT.store(tab.names.len(), Ordering::Release);
+    id
 }
 
 /// Looks a metadata field name up without interning it.
 pub fn meta_id_lookup(name: &str) -> Option<u32> {
-    meta_tab()
-        .read()
-        .expect("interner poisoned")
-        .index
-        .get(name)
-        .copied()
+    read(meta_tab()).index.get(name).copied()
 }
 
 /// The name behind a metadata id.
 pub fn meta_name(id: u32) -> &'static str {
-    meta_tab().read().expect("interner poisoned").names[id as usize]
+    read(meta_tab()).names[id as usize]
 }
+
+/// Mirror of the metadata table's length, stored under its write lock so
+/// [`meta_count`] — read once per recycled packet — takes no lock. The
+/// `Release` store after the push pairs with `meta_count`'s `Acquire`
+/// load: a reader that sees `n` sees ids `0..n` interned.
+static META_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of metadata names interned so far — the capacity a packet's
 /// metadata vector needs to cover every defined field without resizing.
 pub fn meta_count() -> usize {
-    meta_tab().read().expect("interner poisoned").names.len()
+    META_COUNT.load(Ordering::Acquire)
 }
 
 #[cfg(test)]

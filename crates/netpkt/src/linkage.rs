@@ -14,12 +14,24 @@
 //! The graph drives on-demand parsing: starting from the first header of a
 //! packet, selector values are evaluated and edges followed until the
 //! requested header is reached (or the chain ends).
+//!
+//! The graph is resolved when it is written, the way a hardware parser
+//! latches its configuration: each edit (`register`, `unregister`,
+//! `set_first`, `link`, `unlink`) re-resolves only the nodes it touches —
+//! fixed byte length, var-length field span, selector spans, and
+//! transitions as `(tag, Sym)` in first-match order — and nodes are found
+//! through a table indexed by [`Sym`] id. Parsing
+//! ([`crate::packet::Packet::ensure_parsed_sym`]) then walks symbol → node
+//! → spans → symbol with no name lookup, hash or interner lock; a name is
+//! rendered only when a step fails.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
-use crate::header::{HeaderError, HeaderType, ParserTransition};
+use crate::bitfield;
+use crate::header::{HeaderError, HeaderType, ImplicitParser, ParserTransition};
+use crate::intern::Sym;
 
 /// Errors from linkage operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,12 +88,172 @@ impl From<HeaderError> for LinkageError {
     }
 }
 
+/// A bit span `(bit offset, width)` within a header, or the error the
+/// field lookup that produced it reported.
+type Span = Result<(usize, usize), HeaderError>;
+
+/// One registered header type plus the parse data resolved from it when
+/// the control plane wrote it.
+#[derive(Debug, Clone)]
+pub(crate) struct Node {
+    ty: HeaderType,
+    sym: Sym,
+    /// `ty.fixed_len()`.
+    fixed: Result<usize, HeaderError>,
+    /// The var-length field's span and bytes per unit, for variable-length
+    /// headers.
+    var: Option<(Span, usize)>,
+    /// Selector field spans in concatenation order; `None` when the header
+    /// carries no implicit parser.
+    selector: Option<Vec<Span>>,
+    /// `(tag, next)` in first-match order, mirroring
+    /// `ty.parser.transitions`.
+    transitions: Vec<(u128, Sym)>,
+}
+
+impl Node {
+    fn new(ty: HeaderType) -> Node {
+        let mut node = Node {
+            sym: Sym::intern(&ty.name),
+            fixed: ty.fixed_len(),
+            var: ty
+                .var_len_field
+                .as_ref()
+                .map(|f| (ty.field_span(f), ty.var_len_units)),
+            selector: ty
+                .parser
+                .as_ref()
+                .map(|p| p.selector_fields.iter().map(|f| ty.field_span(f)).collect()),
+            transitions: Vec::new(),
+            ty,
+        };
+        node.relink();
+        node
+    }
+
+    /// Re-resolves the transitions after an edit to `ty.parser`.
+    fn relink(&mut self) {
+        self.transitions = self
+            .ty
+            .parser
+            .iter()
+            .flat_map(|p| &p.transitions)
+            .map(|t| (t.tag, Sym::intern(&t.next)))
+            .collect();
+    }
+
+    /// [`HeaderType::fixed_len`] of the node's type.
+    #[inline]
+    pub(crate) fn fixed_len(&self) -> Result<usize, HeaderError> {
+        self.fixed.clone()
+    }
+
+    /// Byte length of the instance at the start of `data`, given its
+    /// fixed length (variable-length headers add their var-length field's
+    /// value times the unit size).
+    #[inline]
+    pub(crate) fn instance_len(&self, fixed: usize, data: &[u8]) -> Result<usize, HeaderError> {
+        match &self.var {
+            None => Ok(fixed),
+            Some((span, units)) => {
+                let (off, bits) = span.clone()?;
+                let v = bitfield::get_bits(data, off, bits)? as usize;
+                Ok(fixed + v * units)
+            }
+        }
+    }
+
+    /// The next header for the instance spanning exactly `data`: the
+    /// concatenated selector value matched against the transitions, first
+    /// match wins. `None` when the header has no parser or no tag matches.
+    #[inline]
+    pub(crate) fn next(&self, data: &[u8]) -> Result<Option<Sym>, HeaderError> {
+        let Some(selector) = &self.selector else {
+            return Ok(None);
+        };
+        let mut acc: u128 = 0;
+        for span in selector {
+            let (off, bits) = span.clone()?;
+            let v = bitfield::get_bits(data, off, bits)?;
+            acc = (acc << bits) | v;
+        }
+        Ok(self
+            .transitions
+            .iter()
+            .find(|&&(tag, _)| tag == acc)
+            .map(|&(_, next)| next))
+    }
+}
+
+/// No node: the sentinel in [`HeaderLinkage`]'s symbol index.
+const ABSENT: u32 = u32::MAX;
+
 /// Registry of header types plus the mutable parse graph between them.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Every edit resolves the parse data of the nodes it touches (byte
+/// lengths, selector spans, `(tag, next)` transitions by [`Sym`]), so the
+/// parse loop walks symbol → node → spans → symbol with no name lookup.
+#[derive(Debug, Clone, Default)]
 pub struct HeaderLinkage {
-    types: HashMap<String, HeaderType>,
+    nodes: Vec<Node>,
+    /// [`Sym`] id → index into `nodes`, or [`ABSENT`].
+    index: Vec<u32>,
     /// The header type found at byte 0 of every packet.
-    first: Option<String>,
+    first: Option<Sym>,
+}
+
+impl PartialEq for HeaderLinkage {
+    /// Same header types (in any order) and the same first header.
+    fn eq(&self, other: &Self) -> bool {
+        self.first == other.first
+            && self.nodes.len() == other.nodes.len()
+            && self
+                .nodes
+                .iter()
+                .all(|n| other.node(n.sym).is_some_and(|o| o.ty == n.ty))
+    }
+}
+
+impl Serialize for HeaderLinkage {
+    /// `{"types": {name: type, ...}, "first": name | null}` — the entry
+    /// order the vendored `HashMap` impl renders (by the key's `Debug`
+    /// form), so the JSON is the one a name-keyed map produces.
+    fn to_content(&self) -> Content {
+        let mut types: Vec<(Content, Content)> = self
+            .nodes
+            .iter()
+            .map(|n| (n.ty.name.to_content(), n.ty.to_content()))
+            .collect();
+        types.sort_by_cached_key(|(k, _)| format!("{k:?}"));
+        Content::Map(vec![
+            ("types".to_content(), Content::Map(types)),
+            ("first".to_content(), self.first().to_content()),
+        ])
+    }
+}
+
+impl Deserialize for HeaderLinkage {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let m = c
+            .as_map()
+            .ok_or_else(|| DeError::new("expected map for HeaderLinkage"))?;
+        let types: BTreeMap<String, HeaderType> = serde::field(m, "types", "HeaderLinkage")?;
+        let first: Option<String> = serde::field(m, "first", "HeaderLinkage")?;
+        let mut g = HeaderLinkage::new();
+        for (key, ty) in types {
+            if key != ty.name {
+                return Err(DeError::new(format!(
+                    "HeaderLinkage.types: key `{key}` holds header `{}`",
+                    ty.name
+                )));
+            }
+            g.register(ty);
+        }
+        // Unvalidated, as written: a first header that is not registered
+        // fails at parse time with `UnknownHeader`, not here.
+        g.first = first.as_deref().map(Sym::intern);
+        Ok(g)
+    }
 }
 
 impl HeaderLinkage {
@@ -101,45 +273,84 @@ impl HeaderLinkage {
         g
     }
 
+    /// The node of the header type `sym` names, if registered.
+    #[inline]
+    pub(crate) fn node(&self, sym: Sym) -> Option<&Node> {
+        match self.index.get(sym.index()) {
+            Some(&i) if i != ABSENT => Some(&self.nodes[i as usize]),
+            _ => None,
+        }
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.nodes.iter().position(|n| n.ty.name == name)
+    }
+
     /// Registers (or replaces) a header type.
     pub fn register(&mut self, ty: HeaderType) {
-        self.types.insert(ty.name.clone(), ty);
+        let node = Node::new(ty);
+        let slot = node.sym.index();
+        if slot >= self.index.len() {
+            self.index.resize(slot + 1, ABSENT);
+        }
+        match self.index[slot] {
+            ABSENT => {
+                self.index[slot] = u32::try_from(self.nodes.len()).expect("header count");
+                self.nodes.push(node);
+            }
+            i => self.nodes[i as usize] = node,
+        }
     }
 
     /// Removes a header type and all links pointing at it. Returns true if
     /// the type existed.
     pub fn unregister(&mut self, name: &str) -> bool {
-        let existed = self.types.remove(name).is_some();
-        if existed {
-            for ty in self.types.values_mut() {
-                if let Some(p) = &mut ty.parser {
-                    p.transitions.retain(|t| t.next != name);
+        let Some(pos) = self.position(name) else {
+            return false;
+        };
+        let gone = self.nodes.swap_remove(pos);
+        self.index[gone.sym.index()] = ABSENT;
+        if let Some(moved) = self.nodes.get(pos) {
+            self.index[moved.sym.index()] = pos as u32;
+        }
+        for node in &mut self.nodes {
+            if let Some(p) = &mut node.ty.parser {
+                let before = p.transitions.len();
+                p.transitions.retain(|t| t.next != name);
+                if p.transitions.len() != before {
+                    node.relink();
                 }
             }
-            if self.first.as_deref() == Some(name) {
-                self.first = None;
-            }
         }
-        existed
+        if self.first == Some(gone.sym) {
+            self.first = None;
+        }
+        true
     }
 
     /// Declares which header type starts every packet.
     pub fn set_first(&mut self, name: &str) -> Result<(), LinkageError> {
-        if !self.types.contains_key(name) {
-            return Err(LinkageError::UnknownHeader(name.to_string()));
-        }
-        self.first = Some(name.to_string());
+        let pos = self
+            .position(name)
+            .ok_or_else(|| LinkageError::UnknownHeader(name.to_string()))?;
+        self.first = Some(self.nodes[pos].sym);
         Ok(())
     }
 
     /// The first-header type name, if configured.
     pub fn first(&self) -> Option<&str> {
-        self.first.as_deref()
+        self.first.map(Sym::as_str)
+    }
+
+    /// The first-header type, interned — the parse loop's starting point.
+    #[inline]
+    pub(crate) fn first_sym(&self) -> Option<Sym> {
+        self.first
     }
 
     /// Looks up a header type.
     pub fn get(&self, name: &str) -> Option<&HeaderType> {
-        self.types.get(name)
+        self.position(name).map(|i| &self.nodes[i].ty)
     }
 
     /// Looks up a header type, as an error-returning variant.
@@ -150,17 +361,30 @@ impl HeaderLinkage {
 
     /// Number of registered header types.
     pub fn len(&self) -> usize {
-        self.types.len()
+        self.nodes.len()
     }
 
     /// True when no header types are registered.
     pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Iterates over registered types in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &HeaderType> {
-        self.types.values()
+        self.nodes.iter().map(|n| &n.ty)
+    }
+
+    /// The registered `pre` node's implicit parser, with its node index.
+    fn parser_of(&mut self, pre: &str) -> Result<(usize, &mut ImplicitParser), LinkageError> {
+        let pos = self
+            .position(pre)
+            .ok_or_else(|| LinkageError::UnknownHeader(pre.to_string()))?;
+        let parser = self.nodes[pos]
+            .ty
+            .parser
+            .as_mut()
+            .ok_or_else(|| LinkageError::NoParser(pre.to_string()))?;
+        Ok((pos, parser))
     }
 
     /// Adds a parse edge `pre --tag--> next` (the `link_header` command).
@@ -170,17 +394,11 @@ impl HeaderLinkage {
     /// linking an in-use tag to a *different* next header is an error (the
     /// old link must be removed first).
     pub fn link(&mut self, pre: &str, next: &str, tag: u128) -> Result<(), LinkageError> {
-        if !self.types.contains_key(next) {
-            return Err(LinkageError::UnknownHeader(next.to_string()));
-        }
-        let pre_ty = self
-            .types
-            .get_mut(pre)
-            .ok_or_else(|| LinkageError::UnknownHeader(pre.to_string()))?;
-        let parser = pre_ty
-            .parser
-            .as_mut()
-            .ok_or_else(|| LinkageError::NoParser(pre.to_string()))?;
+        let next_sym = self
+            .position(next)
+            .map(|i| self.nodes[i].sym)
+            .ok_or_else(|| LinkageError::UnknownHeader(next.to_string()))?;
+        let (pos, parser) = self.parser_of(pre)?;
         if let Some(t) = parser.transitions.iter().find(|t| t.tag == tag) {
             if t.next == next {
                 return Ok(());
@@ -195,20 +413,14 @@ impl HeaderLinkage {
             tag,
             next: next.to_string(),
         });
+        self.nodes[pos].transitions.push((tag, next_sym));
         Ok(())
     }
 
     /// Removes every parse edge from `pre` to `next` (the `unlink_header`
     /// command).
     pub fn unlink(&mut self, pre: &str, next: &str) -> Result<(), LinkageError> {
-        let pre_ty = self
-            .types
-            .get_mut(pre)
-            .ok_or_else(|| LinkageError::UnknownHeader(pre.to_string()))?;
-        let parser = pre_ty
-            .parser
-            .as_mut()
-            .ok_or_else(|| LinkageError::NoParser(pre.to_string()))?;
+        let (pos, parser) = self.parser_of(pre)?;
         let before = parser.transitions.len();
         parser.transitions.retain(|t| t.next != next);
         if parser.transitions.len() == before {
@@ -217,6 +429,7 @@ impl HeaderLinkage {
                 next: next.to_string(),
             });
         }
+        self.nodes[pos].relink();
         Ok(())
     }
 
@@ -224,8 +437,7 @@ impl HeaderLinkage {
     /// deterministic output.
     pub fn edges(&self) -> Vec<(String, u128, String)> {
         let mut out: Vec<_> = self
-            .types
-            .values()
+            .iter()
             .flat_map(|ty| {
                 ty.parser.iter().flat_map(|p| {
                     p.transitions

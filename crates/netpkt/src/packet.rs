@@ -378,6 +378,10 @@ impl Packet {
 
     /// [`Packet::ensure_parsed`] with a pre-interned target — the compiled
     /// fast path's entry point. Allocates only on error.
+    ///
+    /// Walks the linkage's resolved nodes (frontier symbol → node → spans
+    /// → next symbol): no name lookup, no lock, no hash. Names are
+    /// rendered only in the error arms.
     pub fn ensure_parsed_sym(
         &mut self,
         linkage: &HeaderLinkage,
@@ -386,14 +390,12 @@ impl Packet {
         if self.is_valid_sym(target) {
             return Ok(true);
         }
-        // Establish the frontier lazily.
-        if self.parsed.is_empty() && self.frontier.is_none() {
-            let first = linkage.first().ok_or(PacketError::NoFirstHeader)?;
-            self.frontier = Some((Sym::intern(first), 0));
-        }
+        self.start_frontier(linkage)?;
         while let Some((name, offset)) = self.frontier {
-            let ty = linkage.require(name.as_str())?;
-            let fixed = ty.fixed_len()?;
+            let Some(node) = linkage.node(name) else {
+                return Err(LinkageError::UnknownHeader(name.as_str().to_string()).into());
+            };
+            let fixed = node.fixed_len()?;
             if offset + fixed > self.data.len() {
                 return Err(PacketError::Truncated {
                     header: name.as_str().to_string(),
@@ -402,7 +404,7 @@ impl Packet {
                     available: self.data.len().saturating_sub(offset),
                 });
             }
-            let len = ty.instance_len(&self.data[offset..])?;
+            let len = node.instance_len(fixed, &self.data[offset..])?;
             if offset + len > self.data.len() {
                 return Err(PacketError::Truncated {
                     header: name.as_str().to_string(),
@@ -418,11 +420,9 @@ impl Packet {
             });
             self.parse_extractions += 1;
             // Advance the frontier.
-            let next = match ty.selector_value(&self.data[offset..offset + len])? {
-                Some(sel) => ty.next_header(sel).map(|n| (Sym::intern(n), offset + len)),
-                None => None,
-            };
-            self.frontier = next;
+            self.frontier = node
+                .next(&self.data[offset..offset + len])?
+                .map(|next| (next, offset + len));
             if name == target {
                 return Ok(true);
             }
@@ -430,15 +430,22 @@ impl Packet {
         Ok(false)
     }
 
+    /// Establishes the frontier at the linkage's first header when parsing
+    /// has not started.
+    fn start_frontier(&mut self, linkage: &HeaderLinkage) -> Result<(), PacketError> {
+        if self.parsed.is_empty() && self.frontier.is_none() {
+            let first = linkage.first_sym().ok_or(PacketError::NoFirstHeader)?;
+            self.frontier = Some((first, 0));
+        }
+        Ok(())
+    }
+
     /// Parses the packet to the end of its header chain — what a PISA
     /// front-end parser does before the pipeline runs. Returns the number
     /// of headers extracted.
     pub fn parse_all(&mut self, linkage: &HeaderLinkage) -> Result<usize, PacketError> {
         let before = self.parsed.len();
-        if self.parsed.is_empty() && self.frontier.is_none() {
-            let first = linkage.first().ok_or(PacketError::NoFirstHeader)?;
-            self.frontier = Some((Sym::intern(first), 0));
-        }
+        self.start_frontier(linkage)?;
         while let Some((name, _)) = self.frontier {
             // ensure_parsed advances exactly to `name` (parsing it).
             if !self.ensure_parsed_sym(linkage, name)? {
@@ -731,6 +738,32 @@ mod tests {
         assert_eq!(m.get_user(id), 17);
         m.set_user(id, 18);
         assert_eq!(m.get("id_accessor_field"), 18);
+    }
+
+    #[test]
+    fn warm_parse_and_recycle_take_no_interner_lock() {
+        use crate::intern::lock_probe;
+
+        let mut linkage = HeaderLinkage::standard();
+        linkage.link("ipv6", "srh", 43).unwrap();
+        let udp = Sym::intern("udp");
+        let frame = sample_v4().data;
+        // Warm-up: every name the parse touches is interned.
+        let mut p = Packet::new(frame.clone(), 0);
+        p.parse_all(&linkage).unwrap();
+
+        let before = lock_probe::taken();
+        let mut p = Packet::new(frame.clone(), 0);
+        assert_eq!(p.parse_all(&linkage).unwrap(), 3);
+        p.reset_for_reuse();
+        p.data.extend_from_slice(&frame);
+        assert!(p.ensure_parsed_sym(&linkage, udp).unwrap());
+        assert!(p.ensure_parsed_sym(&linkage, udp).unwrap());
+        assert_eq!(
+            lock_probe::taken(),
+            before,
+            "interner lock on the warm path"
+        );
     }
 
     #[test]
