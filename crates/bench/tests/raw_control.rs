@@ -15,6 +15,12 @@
 //! error, never panic, and the same on both; after every batch the
 //! interpreter (`run`) and the compiled path (`run_batch`) must agree on
 //! every emitted packet and on the serialized `SwitchReport`.
+//!
+//! Every message the suite sends also crosses the control channel's frame
+//! codec (`ipsa_core::wire`): it decodes back to itself and is priced by
+//! its frame length. Bit-flipped frames that still decode are applied to
+//! twins the same way, so a corrupted but well-formed frame can at worst
+//! be refused.
 
 use std::sync::OnceLock;
 
@@ -27,8 +33,10 @@ use ipsa_core::pipeline_cfg::SlotRole;
 use ipsa_core::table::{ActionCall, KeyMatch, TableEntry};
 use ipsa_core::template::CompiledDesign;
 use ipsa_core::value::ValueRef;
+use ipsa_core::wire::{decode_frame, encode_frame, encoded_len, WireError};
 use ipsa_netpkt::traffic::TrafficGen;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// The base design and the three use-case designs built on it.
 fn designs() -> &'static [CompiledDesign] {
@@ -249,6 +257,97 @@ proptest! {
                 &mut fast.device,
                 &mut gen,
                 &format!("batch {k}: {msgs:?}"),
+            );
+        }
+    }
+}
+
+fn decode(frame: &[u8]) -> Result<ControlMsg, WireError> {
+    decode_frame(frame)
+}
+
+/// `msg` decodes back to itself, and its price is its frame's length.
+fn round_trips(msg: &ControlMsg) -> Result<(), TestCaseError> {
+    let frame = encode_frame(msg);
+    prop_assert_eq!(encoded_len(msg), frame.len());
+    prop_assert_eq!(msg.payload_bytes(), frame.len());
+    prop_assert_eq!(decode(&frame).as_ref(), Ok(msg));
+    Ok(())
+}
+
+/// Every truncation of `frame`, and every single-bit flip at a bit index
+/// that is a multiple of `stride`, gives a message or a typed error; a
+/// decoded mutant survives its own round trip.
+fn mutants_decode_or_refuse(mut frame: Vec<u8>, stride: usize) {
+    for cut in 0..frame.len() {
+        assert!(decode(&frame[..cut]).is_err(), "cut at {cut}");
+    }
+    for bit in (0..frame.len() * 8).step_by(stride) {
+        frame[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(msg) = decode(&frame) {
+            assert_eq!(decode(&encode_frame(&msg)), Ok(msg), "bit {bit}");
+        }
+        frame[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// Each bundled design's install sequence and the design as one
+/// `LoadFullDesign` round-trip. Every truncation and bit flip of each
+/// install message decodes or is refused; the full-design frame carries
+/// the same types, so its flips are sampled: every 13th bit, which hits
+/// all eight bit positions spread over the whole frame.
+#[test]
+fn bundled_designs_cross_the_wire() {
+    for design in designs() {
+        for msg in full_install_msgs(design) {
+            round_trips(&msg).unwrap();
+            mutants_decode_or_refuse(encode_frame(&msg), 1);
+        }
+        let full = ControlMsg::LoadFullDesign(Box::new(design.clone()));
+        round_trips(&full).unwrap();
+        mutants_decode_or_refuse(encode_frame(&full), 13);
+    }
+}
+
+proptest! {
+    #[test]
+    fn raw_batches_cross_the_wire_and_mutants_keep_twins_agreeing(
+        seed in 0u64..1000,
+        drawn in proptest::collection::vec(
+            (0u8..15, 0usize..64, 0usize..256, 0usize..256),
+            1..6,
+        ),
+        flips in proptest::collection::vec(any::<u64>(), 1..8),
+    ) {
+        let msgs: Vec<ControlMsg> = drawn
+            .iter()
+            .flat_map(|&(kind, a, b, c)| raw_msgs(kind, a, b, c))
+            .collect();
+        for msg in &msgs {
+            round_trips(msg)?;
+        }
+        if msgs.is_empty() {
+            return Ok(());
+        }
+        let mut interp = populated();
+        let mut fast = populated();
+        let mut gen = TrafficGen::new(seed).with_flows(16).with_v6_percent(20);
+        for (k, &flip) in flips.iter().enumerate() {
+            let mut frame = encode_frame(&msgs[flip as usize % msgs.len()]);
+            let bit = (flip >> 32) as usize % (frame.len() * 8);
+            frame[bit / 8] ^= 1 << (bit % 8);
+            let Ok(mutant) = decode(&frame) else {
+                continue;
+            };
+            let batch = [mutant];
+            let ri = interp.device.apply(&batch).map_err(|e| e.to_string());
+            let rf = fast.device.apply(&batch).map_err(|e| e.to_string());
+            prop_assert_eq!(ri.map(|r| r.msgs), rf.map(|r| r.msgs), "mutant {}", k);
+            assert_twins_agree(
+                &mut interp.device,
+                &mut fast.device,
+                &mut gen,
+                &format!("mutant {k}: {batch:?}"),
             );
         }
     }

@@ -11,8 +11,10 @@
 //!
 //! `compile` runs the full rp4bc pipeline and emits the TSP template
 //! parameters in JSON (the paper's specified output format). `plan` runs
-//! the in-situ path: it prints the Drain…Resume message summary, the
-//! updated base design (rp4bc's "first output"), and placement statistics.
+//! the in-situ path: it prints the Drain…Resume message summary (each
+//! message with the length of its control-channel wire frame, the bytes
+//! the load-time model prices), the updated base design (rp4bc's "first
+//! output"), and placement statistics.
 //! `cover` enumerates every feasible execution path of the compiled design
 //! and dumps the witness corpus (`check --cover` runs the same enumeration
 //! for its RP44xx diagnostics and coverage summary).
@@ -348,7 +350,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     for m in &plan.msgs {
         let kind = format!("{m:?}");
         let kind = kind.split([' ', '(', '{']).next().unwrap_or("?");
-        eprintln!("  - {kind} ({} bytes)", m.payload_bytes());
+        eprintln!("  - {kind} ({} wire bytes)", m.payload_bytes());
     }
     println!("// --- updated base design (rp4bc output 1) ---");
     println!("{}", rp4_lang::print(&plan.program));

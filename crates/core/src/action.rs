@@ -154,7 +154,9 @@ impl ActionDef {
 
     /// Total action-data width in bits (for table entry sizing).
     pub fn data_bits(&self) -> usize {
-        self.params.iter().map(|(_, b)| b).sum()
+        self.params
+            .iter()
+            .fold(0, |sum, (_, b)| sum.saturating_add(*b))
     }
 }
 

@@ -6,6 +6,10 @@
 //! [`ControlMsg::LoadFullDesign`] plus entry operations — any functional
 //! change swaps the whole design, which is exactly the asymmetry Table 1
 //! measures.
+//!
+//! On the channel a message is one binary frame ([`crate::wire`]); its
+//! length, [`ControlMsg::payload_bytes`], is what the cost model prices.
+//! serde stays for the JSON artifacts (designs and plans on disk).
 
 use ipsa_netpkt::header::HeaderType;
 use ipsa_netpkt::packet::Packet;
@@ -117,10 +121,11 @@ pub enum ControlMsg {
 }
 
 impl ControlMsg {
-    /// Serialized payload size in bytes — the unit of the control-channel
-    /// communication-cost model.
+    /// Size in bytes of the message's wire frame ([`crate::wire`]) — the
+    /// unit of the control-channel communication-cost model. Counted by
+    /// running the encoder into a byte counter: no allocation.
     pub fn payload_bytes(&self) -> usize {
-        serde_json::to_vec(self).map(|v| v.len()).unwrap_or(0)
+        crate::wire::encoded_len(self)
     }
 
     /// True for messages that change pipeline *structure* (these require a
@@ -203,7 +208,7 @@ pub fn full_install_msgs(design: &CompiledDesign) -> Vec<ControlMsg> {
 pub struct ApplyReport {
     /// Messages applied.
     pub msgs: usize,
-    /// Total payload bytes transferred.
+    /// Total wire-frame bytes transferred ([`ControlMsg::payload_bytes`]).
     pub bytes: usize,
     /// Simulated load time (µs) under the device's cost model — the t_L of
     /// Table 1.

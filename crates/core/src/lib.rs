@@ -14,6 +14,8 @@
 //! - [`pipeline_cfg`]: the elastic-pipeline selector.
 //! - [`control`]: the controller↔device message protocol and the
 //!   [`control::Device`] trait.
+//! - [`wire`]: the control channel's binary frame codec; messages are
+//!   priced by their frame length.
 //! - [`timing`]: the deterministic load-time cost model behind Table 1.
 
 #![warn(missing_docs)]
@@ -33,6 +35,7 @@ pub mod table;
 pub mod template;
 pub mod timing;
 pub mod value;
+pub mod wire;
 
 pub use action::{ActionDef, ActionOutcome, AluOp, Primitive};
 pub use control::{ApplyReport, ControlMsg, Device};

@@ -82,7 +82,9 @@ impl MemoryBlock {
 /// Number of blocks a `entry_bits × entries` table needs in blocks of
 /// geometry `g`: the paper's `⌈W/w⌉ × ⌈D/d⌉`.
 pub fn blocks_needed(g: BlockGeometry, entry_bits: usize, entries: usize) -> usize {
-    entry_bits.div_ceil(g.width_bits) * entries.div_ceil(g.depth).max(1)
+    entry_bits
+        .div_ceil(g.width_bits)
+        .saturating_mul(entries.div_ceil(g.depth).max(1))
 }
 
 /// The shared pool.
@@ -465,7 +467,23 @@ pub fn serialize_entry(
     tag: u32,
     entry: &TableEntry,
 ) -> Result<Vec<u8>, CoreError> {
-    let total_bits: usize = def.entry_width_bits(param_bits.iter().sum());
+    // Widths arrive off the control channel unchecked: refuse one no
+    // field can have before sizing the buffer by them.
+    let widths = def
+        .key
+        .iter()
+        .map(|k| k.bits)
+        .chain(param_bits.iter().copied());
+    if let Some(bad) = widths
+        .into_iter()
+        .find(|b| !(1..=ipsa_netpkt::bitfield::MAX_FIELD_BITS).contains(b))
+    {
+        return Err(CoreError::Config(format!(
+            "table `{}`: a {bad}-bit key field or action parameter cannot be stored",
+            def.name
+        )));
+    }
+    let total_bits = def.entry_width_bits(param_bits.iter().sum());
     let mut buf = vec![0u8; total_bits.div_ceil(8)];
     let mut off = 0usize;
     let put = |buf: &mut [u8], off: &mut usize, bits: usize, v: u128| {

@@ -107,21 +107,23 @@ impl TableDef {
 
     /// Total key width in bits.
     pub fn key_bits(&self) -> usize {
-        self.key.iter().map(|k| k.bits).sum()
+        self.key.iter().fold(0, |sum, k| sum.saturating_add(k.bits))
     }
 
     /// Width of one stored entry in bits: key (doubled for ternary
     /// value+mask; +8 prefix-length bits for LPM), an 8-bit action tag, and
-    /// `data_bits` of action data.
+    /// `data_bits` of action data. Saturating: widths arrive off the
+    /// control channel unchecked, and an impossible width must fail the
+    /// block check, not overflow.
     pub fn entry_width_bits(&self, data_bits: usize) -> usize {
         let key = if self.is_ternary() {
-            self.key_bits() * 2
+            self.key_bits().saturating_mul(2)
         } else if self.key.iter().any(|k| k.kind == MatchKind::Lpm) {
-            self.key_bits() + 8
+            self.key_bits().saturating_add(8)
         } else {
             self.key_bits()
         };
-        key + 8 + data_bits
+        key.saturating_add(8).saturating_add(data_bits)
     }
 
     /// Position-derived executor switch tag for an action name (`1 + index`),

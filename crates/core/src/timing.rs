@@ -2,7 +2,9 @@
 //!
 //! Table 1's loading time t_L "contains the communication time with the
 //! device"; we reproduce it with a deterministic cost model instead of a
-//! physical link. Two presets exist: [`CostModel::fpga`] (the hardware
+//! physical link. The communication part is `per_msg_us` plus
+//! `per_byte_us` per byte of the message's wire frame
+//! ([`crate::wire`]). Two presets exist: [`CostModel::fpga`] (the hardware
 //! prototypes; a PISA functional change reloads the whole FPGA design) and
 //! [`CostModel::software`] (bmv2 vs ipbm; a bmv2 change restarts the
 //! process). The *asymmetry* between full-reload and incremental-template
@@ -18,7 +20,7 @@ use crate::control::ControlMsg;
 pub struct CostModel {
     /// Fixed per-message cost (driver + RTT), µs.
     pub per_msg_us: f64,
-    /// Per-payload-byte transfer cost, µs.
+    /// Per-byte transfer cost over the message's wire frame, µs.
     pub per_byte_us: f64,
     /// Extra cost of writing one TSP template ("a few clock cycles" on the
     /// device plus configuration-path overhead), µs.
@@ -84,8 +86,8 @@ impl CostModel {
     }
 
     /// [`CostModel::msg_cost_us`] for a message whose
-    /// [`ControlMsg::payload_bytes`] the caller already has: sizing a
-    /// message serializes it, the dominant cost of pricing an entry write.
+    /// [`ControlMsg::payload_bytes`] the caller already has (it reports
+    /// the bytes too), so the message is sized once.
     pub fn sized_msg_cost_us(&self, msg: &ControlMsg, bytes: usize) -> f64 {
         let base = self.per_msg_us + self.per_byte_us * bytes as f64;
         let extra = match msg {

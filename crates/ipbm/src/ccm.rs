@@ -290,6 +290,43 @@ mod tests {
         assert_eq!(sm.table_names(), vec!["t".to_string()]);
     }
 
+    /// Regression: widths arrive off the control channel unchecked. An
+    /// impossible one — a header or key wider than `usize` bits in sum, a
+    /// 0- or 200-bit key field — is refused with a typed error; it used to
+    /// overflow (a panic in debug builds) or trip an `expect`.
+    #[test]
+    fn impossible_widths_are_refused_not_panicking() {
+        use ipsa_netpkt::header::{FieldDef, HeaderType};
+        let cost = CostModel::software();
+        let (mut pm, mut sm, mut linkage) = parts();
+        let wide = HeaderType::new(
+            "wide",
+            vec![FieldDef::new("a", usize::MAX), FieldDef::new("b", 8)],
+        )
+        .with_var_len("b", usize::MAX);
+        let msgs = [ControlMsg::RegisterHeader(wide)];
+        apply_msgs(&mut pm, &mut sm, &mut linkage, &cost, &msgs).unwrap();
+        for bits in [usize::MAX, 0, 200] {
+            let mut def = table_def();
+            def.key.push(KeyField {
+                bits,
+                ..def.key[0].clone()
+            });
+            let msgs = [
+                ControlMsg::CreateTable {
+                    def: def.clone(),
+                    blocks: vec![0],
+                },
+                ControlMsg::AddEntry {
+                    table: "t".into(),
+                    entry: TableEntry::exact(vec![1, 1], ActionCall::no_action()),
+                },
+            ];
+            let err = apply_msgs(&mut pm, &mut sm, &mut linkage, &cost, &msgs).unwrap_err();
+            assert!(matches!(err, CoreError::RolledBack { .. }), "{bits}: {err}");
+        }
+    }
+
     /// Regression: a migration's reported load time must grow with the
     /// rows it copies — the flat `table_setup_us` charge made update-plan
     /// latency independent of table occupancy.

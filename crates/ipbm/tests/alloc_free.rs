@@ -247,6 +247,42 @@ fn entry_batch_then_burst_does_not_allocate() {
     assert_eq!(nexthops, vec![7, 8], "the burst ran on the new entries");
 }
 
+/// Pricing an entry op sizes its wire frame by running the encoder into a
+/// byte counter, so neither `payload_bytes` nor the cost model allocates:
+/// on a runtime table write, pricing is arithmetic.
+#[test]
+fn pricing_entry_ops_does_not_allocate() {
+    use ipsa_core::timing::CostModel;
+
+    let msgs = [
+        fib_entry(0x0a00_0000, 7),
+        ControlMsg::DelEntry {
+            table: "fib".into(),
+            key: vec![KeyMatch::Lpm {
+                value: 0x0a00_0000,
+                prefix_len: 8,
+            }],
+        },
+        ControlMsg::SetDefaultAction {
+            table: "fib".into(),
+            action: ActionCall::new("route", vec![1, 2]),
+        },
+    ];
+    let cost = CostModel::software();
+    for msg in &msgs {
+        let before = allocs();
+        let bytes = std::hint::black_box(msg).payload_bytes();
+        let us = cost.msg_cost_us(std::hint::black_box(msg));
+        let delta = allocs() - before;
+        assert_eq!(
+            delta, 0,
+            "pricing {msg:?} performed {delta} heap allocations"
+        );
+        assert_eq!(bytes, ipsa_core::wire::encode_frame(msg).len());
+        assert!(us > cost.per_msg_us);
+    }
+}
+
 /// The acceptance criterion for the recycling packet arena: with output
 /// packets recycled back into the arena, the ENTIRE
 /// inject→process→collect loop — CM rings, burst buffers, compiled fast

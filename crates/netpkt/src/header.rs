@@ -138,9 +138,12 @@ impl HeaderType {
         self
     }
 
-    /// Total width of the fixed fields in bits.
+    /// Total width of the fixed fields in bits (saturating: widths come
+    /// off the control channel unchecked).
     pub fn fixed_bits(&self) -> usize {
-        self.fields.iter().map(|f| f.bits).sum()
+        self.fields
+            .iter()
+            .fold(0, |sum, f| sum.saturating_add(f.bits))
     }
 
     /// Fixed byte length; errors if the type is not byte aligned (real
@@ -163,7 +166,7 @@ impl HeaderType {
             if f.name == field {
                 return Ok((off, f.bits));
             }
-            off += f.bits;
+            off = off.saturating_add(f.bits);
         }
         Err(HeaderError::NoSuchField {
             header: self.name.clone(),

@@ -150,15 +150,17 @@ impl Node {
 
     /// Byte length of the instance at the start of `data`, given its
     /// fixed length (variable-length headers add their var-length field's
-    /// value times the unit size).
+    /// value times the unit size, saturating: an impossible length then
+    /// fails as a truncated header).
     #[inline]
     pub(crate) fn instance_len(&self, fixed: usize, data: &[u8]) -> Result<usize, HeaderError> {
         match &self.var {
             None => Ok(fixed),
             Some((span, units)) => {
                 let (off, bits) = span.clone()?;
-                let v = bitfield::get_bits(data, off, bits)? as usize;
-                Ok(fixed + v * units)
+                let v = bitfield::get_bits(data, off, bits)?;
+                let extra = usize::try_from(v).map_or(usize::MAX, |v| v.saturating_mul(*units));
+                Ok(fixed.saturating_add(extra))
             }
         }
     }
@@ -175,7 +177,8 @@ impl Node {
         for span in selector {
             let (off, bits) = span.clone()?;
             let v = bitfield::get_bits(data, off, bits)?;
-            acc = (acc << bits) | v;
+            // A 128-bit field shifts everything before it out.
+            acc = acc.checked_shl(bits as u32).unwrap_or(0) | v;
         }
         Ok(self
             .transitions

@@ -392,42 +392,58 @@ impl Packet {
         }
         self.start_frontier(linkage)?;
         while let Some((name, offset)) = self.frontier {
-            let Some(node) = linkage.node(name) else {
-                return Err(LinkageError::UnknownHeader(name.as_str().to_string()).into());
-            };
-            let fixed = node.fixed_len()?;
-            if offset + fixed > self.data.len() {
-                return Err(PacketError::Truncated {
-                    header: name.as_str().to_string(),
-                    offset,
-                    needed: fixed,
-                    available: self.data.len().saturating_sub(offset),
-                });
-            }
-            let len = node.instance_len(fixed, &self.data[offset..])?;
-            if offset + len > self.data.len() {
-                return Err(PacketError::Truncated {
-                    header: name.as_str().to_string(),
-                    offset,
-                    needed: len,
-                    available: self.data.len() - offset,
-                });
-            }
-            self.parsed.push(ParsedHeader {
-                ty: name,
-                offset,
-                len,
-            });
-            self.parse_extractions += 1;
-            // Advance the frontier.
-            self.frontier = node
-                .next(&self.data[offset..offset + len])?
-                .map(|next| (next, offset + len));
+            self.extract(linkage, name, offset)?;
             if name == target {
                 return Ok(true);
             }
         }
         Ok(false)
+    }
+
+    /// Extracts the frontier header `name` at `offset`, records it, and
+    /// advances the frontier to the next header its selector picks.
+    ///
+    /// On a selector error the header stays recorded and the frontier
+    /// stays where it was.
+    #[inline]
+    fn extract(
+        &mut self,
+        linkage: &HeaderLinkage,
+        name: Sym,
+        offset: usize,
+    ) -> Result<(), PacketError> {
+        let Some(node) = linkage.node(name) else {
+            return Err(LinkageError::UnknownHeader(name.as_str().to_string()).into());
+        };
+        let fixed = node.fixed_len()?;
+        if offset.saturating_add(fixed) > self.data.len() {
+            return Err(PacketError::Truncated {
+                header: name.as_str().to_string(),
+                offset,
+                needed: fixed,
+                available: self.data.len().saturating_sub(offset),
+            });
+        }
+        let available = self.data.len() - offset;
+        let len = node.instance_len(fixed, &self.data[offset..])?;
+        if len > available {
+            return Err(PacketError::Truncated {
+                header: name.as_str().to_string(),
+                offset,
+                needed: len,
+                available,
+            });
+        }
+        self.parsed.push(ParsedHeader {
+            ty: name,
+            offset,
+            len,
+        });
+        self.parse_extractions += 1;
+        self.frontier = node
+            .next(&self.data[offset..offset + len])?
+            .map(|next| (next, offset + len));
+        Ok(())
     }
 
     /// Establishes the frontier at the linkage's first header when parsing
@@ -442,15 +458,14 @@ impl Packet {
 
     /// Parses the packet to the end of its header chain — what a PISA
     /// front-end parser does before the pipeline runs. Returns the number
-    /// of headers extracted.
+    /// of headers extracted. A chain that repeats a header type (IPv6 /
+    /// SRH / IPv6) is parsed through: every occurrence is recorded, and
+    /// lookups by type see the first.
     pub fn parse_all(&mut self, linkage: &HeaderLinkage) -> Result<usize, PacketError> {
         let before = self.parsed.len();
         self.start_frontier(linkage)?;
-        while let Some((name, _)) = self.frontier {
-            // ensure_parsed advances exactly to `name` (parsing it).
-            if !self.ensure_parsed_sym(linkage, name)? {
-                break;
-            }
+        while let Some((name, offset)) = self.frontier {
+            self.extract(linkage, name, offset)?;
         }
         Ok(self.parsed.len() - before)
     }

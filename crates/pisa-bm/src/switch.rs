@@ -213,8 +213,9 @@ impl Device for PisaSwitch {
         let mut report = ApplyReport::default();
         for msg in msgs {
             report.msgs += 1;
-            report.bytes += msg.payload_bytes();
-            let us = self.cost.msg_cost_us(msg);
+            let bytes = msg.payload_bytes();
+            report.bytes += bytes;
+            let us = self.cost.sized_msg_cost_us(msg, bytes);
             report.load_us += us;
             match msg {
                 ControlMsg::LoadFullDesign(design) => {
