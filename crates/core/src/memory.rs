@@ -6,8 +6,16 @@
 //! Entries are *physically serialized* into block bytes — so allocating,
 //! recycling, and migrating tables moves real data, and tests can verify
 //! content survives a migration.
+//!
+//! Block bytes are copy-on-write: a block holds them behind an `Arc`, so
+//! cloning a pool (an SM clone for a shard publish, a journal's table
+//! image, a whole-SM undo) costs one refcount bump per block, and the first
+//! row write on either side copies only the block it lands in. A new pool's
+//! blocks of one kind all share one zeroed buffer, so a block that is never
+//! written costs no memory of its own.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +65,7 @@ pub struct BlockGeometry {
     pub depth: usize,
 }
 
-/// One block in the pool.
+/// One block in the pool. A clone shares the bytes until one side writes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemoryBlock {
     /// Pool-wide block id.
@@ -69,13 +77,29 @@ pub struct MemoryBlock {
     /// Owning table, if allocated.
     pub owner: Option<String>,
     /// Raw content, `width_bits/8 * depth` bytes (row-major, widths rounded
-    /// up to whole bytes per row).
-    data: Vec<u8>,
+    /// up to whole bytes per row). Shared with every clone of this block
+    /// until one of them writes.
+    data: Arc<Vec<u8>>,
 }
 
 impl MemoryBlock {
     fn row_bytes(&self) -> usize {
         self.geometry.width_bits.div_ceil(8)
+    }
+
+    /// The bytes for writing: the copy-on-write step. Copies them first
+    /// when a clone still shares them.
+    fn data_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.data).as_mut_slice()
+    }
+
+    /// Zeroes the bytes. A shared block gets a fresh zeroed buffer rather
+    /// than a copy that is overwritten at once.
+    fn zero(&mut self) {
+        match Arc::get_mut(&mut self.data) {
+            Some(d) => d.fill(0),
+            None => self.data = Arc::new(vec![0; self.data.len()]),
+        }
     }
 }
 
@@ -97,20 +121,26 @@ impl MemoryPool {
     /// Creates a pool with `sram` SRAM blocks followed by `tcam` TCAM
     /// blocks (ids are contiguous across both).
     pub fn new(sram: usize, tcam: usize) -> Self {
+        // Every block of a kind starts as the same zeroed buffer: a block
+        // gets bytes of its own when it is first written.
+        let zeroed = |kind: BlockKind| {
+            let g = kind.geometry();
+            Arc::new(vec![0; g.width_bits.div_ceil(8) * g.depth])
+        };
+        let (sram_zero, tcam_zero) = (zeroed(BlockKind::Sram), zeroed(BlockKind::Tcam));
         let mut blocks = Vec::with_capacity(sram + tcam);
         for i in 0..sram + tcam {
-            let kind = if i < sram {
-                BlockKind::Sram
+            let (kind, zero) = if i < sram {
+                (BlockKind::Sram, &sram_zero)
             } else {
-                BlockKind::Tcam
+                (BlockKind::Tcam, &tcam_zero)
             };
-            let geometry = kind.geometry();
             blocks.push(MemoryBlock {
                 id: i,
                 kind,
-                geometry,
+                geometry: kind.geometry(),
                 owner: None,
-                data: vec![0; geometry.width_bits.div_ceil(8) * geometry.depth],
+                data: Arc::clone(zero),
             });
         }
         MemoryPool { blocks }
@@ -139,21 +169,28 @@ impl MemoryPool {
         self.blocks.get(id)
     }
 
-    /// Raw bytes of a block — the pre-image a transactional apply journals
-    /// before the first mutation touches the block.
+    /// Raw bytes of a block.
     pub fn block_data(&self, id: usize) -> Option<&[u8]> {
         self.blocks.get(id).map(|b| b.data.as_slice())
     }
 
-    /// Puts a block back the way a journal captured it: owner and raw
-    /// bytes. The byte length must match the block's geometry (block shapes
-    /// are fixed at construction, so a mismatch means the snapshot is not
-    /// this block's).
+    /// A handle on a block's bytes — the pre-image a transactional apply
+    /// journals before the first mutation touches the block. It costs a
+    /// refcount, not a copy: the block's next write copies it instead.
+    pub fn share_block(&self, id: usize) -> Option<Arc<Vec<u8>>> {
+        self.blocks.get(id).map(|b| Arc::clone(&b.data))
+    }
+
+    /// Puts a block back the way a journal captured it: owner and the
+    /// [`MemoryPool::share_block`] handle, reinstalled without a copy. The
+    /// byte length must match the block's geometry (block shapes are fixed
+    /// at construction, so a mismatch means the snapshot is not this
+    /// block's).
     pub fn restore_block(
         &mut self,
         id: usize,
         owner: Option<String>,
-        bytes: &[u8],
+        bytes: Arc<Vec<u8>>,
     ) -> Result<(), CoreError> {
         let b = self
             .blocks
@@ -167,7 +204,7 @@ impl MemoryPool {
             )));
         }
         b.owner = owner;
-        b.data.copy_from_slice(bytes);
+        b.data = bytes;
         Ok(())
     }
 
@@ -252,7 +289,7 @@ impl MemoryPool {
         for b in &mut self.blocks {
             if b.owner.as_deref() == Some(owner) {
                 b.owner = None;
-                b.data.fill(0);
+                b.zero();
                 freed.push(b.id);
             }
         }
@@ -272,8 +309,9 @@ impl MemoryPool {
             });
         }
         let off = row * rb;
-        b.data[off..off + bytes.len()].copy_from_slice(bytes);
-        b.data[off + bytes.len()..off + rb].fill(0);
+        let data = b.data_mut();
+        data[off..off + bytes.len()].copy_from_slice(bytes);
+        data[off + bytes.len()..off + rb].fill(0);
         Ok(())
     }
 
@@ -745,6 +783,138 @@ mod tests {
         let map = TableBlockMap::new("t", 112, 100, BlockKind::Sram, ids).unwrap();
         let too_big = vec![0xFF; 15]; // 112 bits = 14 bytes per row
         assert!(map.write_row(&mut pool, 0, &too_big).is_err());
+    }
+
+    /// A pool with one table of `fib_def` rows written into two blocks.
+    fn written_pool() -> (MemoryPool, TableBlockMap, Vec<u8>) {
+        let def = fib_def();
+        let width = def.entry_width_bits(16);
+        let mut pool = MemoryPool::new(8, 2);
+        let ids = pool.allocate(&def.name, BlockKind::Sram, 3).unwrap();
+        let map = TableBlockMap::new(&def.name, width, def.size, BlockKind::Sram, ids).unwrap();
+        let entry = TableEntry {
+            key: vec![KeyMatch::Lpm {
+                value: 0x0a000000,
+                prefix_len: 8,
+            }],
+            priority: 0,
+            action: ActionCall::new("set_nexthop", vec![7]),
+            counter: 0,
+        };
+        let bytes = serialize_entry(&def, &[16], 1, &entry).unwrap();
+        map.write_row(&mut pool, 3, &bytes).unwrap();
+        map.write_row(&mut pool, 1500, &bytes).unwrap();
+        (pool, map, bytes)
+    }
+
+    fn shared(a: &MemoryPool, b: &MemoryPool, id: usize) -> bool {
+        Arc::ptr_eq(&a.blocks[id].data, &b.blocks[id].data)
+    }
+
+    #[test]
+    fn fresh_pool_shares_one_zeroed_buffer_per_kind() {
+        let mut pool = MemoryPool::new(3, 2);
+        assert!(Arc::ptr_eq(&pool.blocks[0].data, &pool.blocks[2].data));
+        assert!(Arc::ptr_eq(&pool.blocks[3].data, &pool.blocks[4].data));
+        assert!(!Arc::ptr_eq(&pool.blocks[2].data, &pool.blocks[3].data));
+        let ids = pool.allocate("t", BlockKind::Sram, 1).unwrap();
+        let map = TableBlockMap::new("t", 112, 100, BlockKind::Sram, ids).unwrap();
+        map.write_row(&mut pool, 0, &[0xAB; 14]).unwrap();
+        assert!(!Arc::ptr_eq(&pool.blocks[0].data, &pool.blocks[1].data));
+        assert!(pool.block_data(1).unwrap().iter().all(|&b| b == 0));
+        assert_eq!(pool.block_data(0).unwrap()[..14], [0xAB; 14]);
+    }
+
+    #[test]
+    fn cloned_pool_shares_every_block() {
+        let (pool, _, _) = written_pool();
+        let copy = pool.clone();
+        assert!((0..pool.len()).all(|id| shared(&pool, &copy, id)));
+    }
+
+    #[test]
+    fn row_write_copies_only_its_block_on_either_side() {
+        let (mut pool, map, bytes) = written_pool();
+        let before: Vec<Vec<u8>> = (0..pool.len())
+            .map(|id| pool.block_data(id).unwrap().to_vec())
+            .collect();
+        // Row 1500 lands in the table's second block (rows 1024..2048).
+        let hit = map.block_ids[1];
+
+        let mut copy = pool.clone();
+        map.clear_row(&mut copy, 1500).unwrap();
+        for (id, pre) in before.iter().enumerate() {
+            assert_eq!(shared(&pool, &copy, id), id != hit, "block {id}");
+            assert_eq!(pool.block_data(id).unwrap(), pre.as_slice());
+        }
+        assert_eq!(map.read_row(&copy, 1500).unwrap(), vec![0; bytes.len()]);
+
+        // The original writing copies its own block and leaves the clone be.
+        let copy = pool.clone();
+        map.clear_row(&mut pool, 3).unwrap();
+        let first = map.block_ids[0];
+        for (id, pre) in before.iter().enumerate() {
+            assert_eq!(shared(&pool, &copy, id), id != first, "block {id}");
+            assert_eq!(copy.block_data(id).unwrap(), pre.as_slice());
+        }
+
+        // Freeing a shared block zeroes the freer's side only.
+        let copy = pool.clone();
+        pool.free_owner("ipv4_lpm");
+        assert_eq!(map.read_row(&copy, 1500).unwrap(), bytes);
+        assert!(pool.block_data(hit).unwrap().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn restored_block_is_the_captured_handle() {
+        let (mut pool, map, bytes) = written_pool();
+        let id = map.block_ids[1];
+        let image = pool.share_block(id).unwrap();
+        let pre = image.to_vec();
+        map.clear_row(&mut pool, 1500).unwrap();
+        assert_eq!(*image, pre, "a write never reaches a captured image");
+        pool.restore_block(id, Some("ipv4_lpm".into()), Arc::clone(&image))
+            .unwrap();
+        assert!(Arc::ptr_eq(&pool.blocks[id].data, &image));
+        assert_eq!(map.read_row(&pool, 1500).unwrap(), bytes);
+        let short = Arc::new(vec![0u8; 3]);
+        assert!(pool.restore_block(id, None, short).is_err());
+    }
+
+    /// The pool's JSON is what it was when blocks owned plain `Vec<u8>`s:
+    /// sharing is invisible to every serialized form.
+    #[test]
+    fn pool_json_is_unchanged_by_sharing() {
+        #[derive(Serialize)]
+        struct PlainBlock {
+            id: usize,
+            kind: BlockKind,
+            geometry: BlockGeometry,
+            owner: Option<String>,
+            data: Vec<u8>,
+        }
+        #[derive(Serialize)]
+        struct PlainPool {
+            blocks: Vec<PlainBlock>,
+        }
+        let (pool, _, _) = written_pool();
+        let plain = PlainPool {
+            blocks: pool
+                .blocks
+                .iter()
+                .map(|b| PlainBlock {
+                    id: b.id,
+                    kind: b.kind,
+                    geometry: b.geometry,
+                    owner: b.owner.clone(),
+                    data: b.data.to_vec(),
+                })
+                .collect(),
+        };
+        let json = serde_json::to_string(&pool).unwrap();
+        assert_eq!(json, serde_json::to_string(&plain).unwrap());
+        let back: MemoryPool = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

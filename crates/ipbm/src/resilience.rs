@@ -15,6 +15,9 @@
 //!   proportional to what the batch names, not to what the device holds:
 //!   an entry message journals one row, a structural table message the one
 //!   table it names; only a whole-design load snapshots the whole SM.
+//!   Pool blocks are copy-on-write, so neither image copies block bytes:
+//!   it shares them, and a block pays for its copy only when the batch
+//!   writes it.
 //! * **Isolation** — [`ShardFault`]/[`SupervisorStats`] type the shard
 //!   supervisor's quarantine decisions, replacing the former process-wide
 //!   `panic!` on any worker hang or death.
@@ -78,8 +81,9 @@ enum UndoOp {
     DefaultAction { idx: usize, prev: ActionCall },
     /// The one table a `CreateTable`/`DestroyTable`/`MigrateTable` names.
     Table(Box<TableImage>),
-    /// The whole storage module, pool included — captured only by
-    /// `LoadFullDesign`, which replaces all of it.
+    /// The whole storage module, pool included (its blocks shared, not
+    /// copied) — captured only by `LoadFullDesign`, which replaces all of
+    /// it.
     SmWhole(Box<StorageModule>),
 }
 

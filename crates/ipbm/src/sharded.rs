@@ -16,18 +16,22 @@
 //!   [`EvalScratch`], [`TrafficManager`], per-slot stats, and a clone of the
 //!   [`StorageModule`] (tables are read-mostly on the data plane; the only
 //!   per-packet writes are entry hit counters, which accumulate shard-
-//!   locally and fold back at barriers as deltas).
-//! * **Epoch barrier** — control batches go through
-//!   [`Device::apply`]: quiesce every shard (bounded drain with a timeout),
-//!   apply the `ControlMsg` batch once against the master SM/CCM state,
-//!   recompile if the batch opened a new epoch (entry-only batches do not,
-//!   and the published `Arc<CompiledPath>` is reused), and publish the
-//!   `Arc<CompiledPath>` + SM snapshot to all shards (RCU-style: workers
-//!   swap atomically between packets, they never observe a half-applied
-//!   batch). Mid-stream rP4 updates therefore
-//!   stay hitless: packets arriving during the barrier wait in the CM's RX
-//!   rings and are processed under the *new* epoch, none are lost or run
-//!   against stale state.
+//!   locally and fold back at barriers as deltas). The clone shares every
+//!   pool block with the master (blocks are copy-on-write), so a publish
+//!   copies table indexes, not block bytes.
+//! * **Epoch barrier** — every data batch ends with a barrier that folds
+//!   every live shard, so between batches no shard has a packet in flight.
+//!   Control batches go through [`Device::apply`]: quiesce only the shards
+//!   that still have packets in flight (in steady state none, so no
+//!   barrier is spent) and apply the `ControlMsg` batch once against the
+//!   master SM/CCM state. The next data batch recompiles if the epoch
+//!   moved (entry-only batches do not move it, and the published
+//!   `Arc<CompiledPath>` is reused) and publishes the `Arc<CompiledPath>` +
+//!   SM snapshot to all shards (RCU-style: workers swap atomically between
+//!   packets, they never observe a half-applied batch). Mid-stream
+//!   rP4 updates therefore stay hitless: packets arriving during the
+//!   update wait in the CM's RX rings and are processed under the *new*
+//!   epoch, none are lost or run against stale state.
 //!
 //! The master [`IpbmSwitch`] stays the single authority for control-plane
 //! state and the aggregation target for every statistic, so `report()` and
@@ -473,7 +477,8 @@ impl ShardedSwitch {
     }
 
     /// Epoch barriers served so far. The next quiesce is barrier
-    /// `barriers() + 1` — the `K` a fault directive targets.
+    /// `barriers() + 1` — the `K` a fault directive targets. A control
+    /// batch with no packets in flight spends none.
     pub fn barriers(&self) -> u64 {
         self.barrier
     }
@@ -549,11 +554,11 @@ impl ShardedSwitch {
     }
 
     /// Reverts the open staged transaction byte-identically (see
-    /// [`IpbmSwitch::revert_staged`]) behind an epoch barrier: shards
+    /// [`IpbmSwitch::revert_staged`]): shards with packets in flight
     /// quiesce first, the master rewinds, and the next batch republishes
     /// the pre-transaction state to every worker.
     pub fn revert_staged(&mut self) -> Result<(), CoreError> {
-        self.quiesce();
+        self.quiesce_inflight();
         self.master.revert_staged()?;
         self.dirty = true;
         Ok(())
@@ -737,6 +742,16 @@ impl ShardedSwitch {
     /// The epoch barrier's drain half over every live shard.
     fn quiesce(&mut self) {
         let targets = self.live_ids();
+        self.collect_from(&targets);
+    }
+
+    /// The control path's drain: only live shards with packets in flight.
+    /// Every data batch ends with [`Self::quiesce`], so between batches
+    /// this set is empty and a control message spends no barrier.
+    fn quiesce_inflight(&mut self) {
+        let targets: Vec<usize> = (0..self.workers.len())
+            .filter(|&s| self.workers[s].alive && self.workers[s].inflight > 0)
+            .collect();
         self.collect_from(&targets);
     }
 
@@ -1010,9 +1025,11 @@ impl Device for ShardedSwitch {
     }
 
     fn apply(&mut self, msgs: &[ControlMsg]) -> Result<ApplyReport, CoreError> {
-        // Epoch barrier: drain the shards, apply the batch exactly once
-        // against the master, and leave republication to the next batch of
-        // traffic (several control batches coalesce into one compile).
+        // Drain any shard with packets in flight (none between batches:
+        // each batch's own barrier folded every shard), apply the batch
+        // exactly once against the master, and leave republication to the
+        // next batch of traffic (several control batches coalesce into one
+        // compile and one publish).
         //
         // A failed apply is transactional (`CoreError::RolledBack`): the
         // master's state is byte-identical to before the batch and its
@@ -1023,7 +1040,7 @@ impl Device for ShardedSwitch {
         // abort rewinds *every* batch staged so far, including ones the
         // shards may already have republished — so a staged failure must
         // mark the switch dirty to force a republish of the rewound state.
-        self.quiesce();
+        self.quiesce_inflight();
         let staged = self.master.staged_open();
         match self.master.apply(msgs) {
             Ok(report) => {
@@ -1047,7 +1064,7 @@ impl Device for ShardedSwitch {
         // Reference semantics: the master interpreter processes in arrival
         // order. Shard SM clones go stale (counters advance on the master),
         // so the next sharded batch republishes first.
-        self.quiesce();
+        self.quiesce_inflight();
         self.dirty = true;
         self.master.run()
     }
@@ -1117,17 +1134,20 @@ impl EpochState {
     }
 }
 
+/// Per-store entry-counter baselines. Only a `with_counters` table can
+/// move a counter ([`ipsa_core::table::Table`] counts hits there alone),
+/// so every other table gets an empty baseline and no row walk.
 fn snapshot_counters(sm: &StorageModule) -> Vec<Vec<u64>> {
     (0..sm.store_count())
         .map(|idx| match sm.store_at(idx) {
-            Some(store) => {
+            Some(store) if store.table.def.with_counters => {
                 let mut v = vec![0u64; store.table.rows_len()];
                 for (row, e) in store.table.iter() {
                     v[row] = e.counter;
                 }
                 v
             }
-            None => Vec::new(),
+            _ => Vec::new(),
         })
         .collect()
 }
@@ -1212,16 +1232,20 @@ fn worker_loop(
                             let Some(store) = ep.sm.store_at(idx) else {
                                 continue;
                             };
-                            let base = &mut ep.counter_base[idx];
+                            // Only a `with_counters` table can have moved
+                            // a counter: the others skip the row walk.
                             let mut counters = Vec::new();
-                            for (row, e) in store.table.iter() {
-                                let prev = base.get(row).copied().unwrap_or(0);
-                                if e.counter > prev {
-                                    counters.push((row, e.counter - prev));
+                            if store.table.def.with_counters {
+                                let base = &mut ep.counter_base[idx];
+                                for (row, e) in store.table.iter() {
+                                    let prev = base.get(row).copied().unwrap_or(0);
+                                    if e.counter > prev {
+                                        counters.push((row, e.counter - prev));
+                                    }
                                 }
-                            }
-                            for (row, delta) in &counters {
-                                base[*row] += delta;
+                                for (row, delta) in &counters {
+                                    base[*row] += delta;
+                                }
                             }
                             if store.table.lookups > 0
                                 || store.table.hits > 0
@@ -1399,6 +1423,127 @@ mod tests {
             sharded.master.cm.port_stats(),
             "per-port counters must match"
         );
+    }
+
+    /// `l3_msgs` with entry counters on the route table, so the barrier
+    /// fold carries counter deltas too.
+    fn counted_l3_msgs(port: u16) -> Vec<ControlMsg> {
+        let mut msgs = l3_msgs(port);
+        for m in &mut msgs {
+            if let ControlMsg::CreateTable { def, .. } = m {
+                def.with_counters = true;
+            }
+        }
+        msgs
+    }
+
+    fn route_counters(sm: &StorageModule) -> Vec<(usize, u64)> {
+        let store = sm.table("route").expect("route installed");
+        store
+            .table
+            .iter()
+            .map(|(row, e)| (row, e.counter))
+            .collect()
+    }
+
+    /// Every batch ends folded, so a control batch between batches finds
+    /// nothing in flight: neither an entry batch nor a structural one
+    /// spends a barrier. The next batch still runs on the new state, and
+    /// at one shard its output, report and counters are the single-core
+    /// switch's bit for bit.
+    #[test]
+    fn control_batches_between_batches_spend_no_barrier() {
+        let mut single = IpbmSwitch::new(IpbmConfig::default());
+        let mut sharded = ShardedSwitch::new(IpbmConfig::default(), 1);
+        single.apply(&counted_l3_msgs(4)).unwrap();
+        sharded.apply(&counted_l3_msgs(4)).unwrap();
+        let run_both = |single: &mut IpbmSwitch, sharded: &mut ShardedSwitch| {
+            for p in traffic(16) {
+                single.inject(p.clone());
+                sharded.inject(p);
+            }
+            let out = single.run_batch();
+            assert_eq!(out, sharded.run_batch());
+            out
+        };
+        run_both(&mut single, &mut sharded);
+
+        let entry = [ControlMsg::AddEntry {
+            table: "route".into(),
+            entry: TableEntry {
+                key: vec![ipsa_core::table::KeyMatch::Lpm {
+                    value: 0x0a010000,
+                    prefix_len: 16,
+                }],
+                priority: 0,
+                action: ActionCall::new("fwd", vec![6]),
+                counter: 0,
+            },
+        }];
+        let mut acl = match &l3_msgs(4)[6] {
+            ControlMsg::CreateTable { def, .. } => def.clone(),
+            other => panic!("l3_msgs[6] is {other:?}"),
+        };
+        acl.name = "acl".into();
+        let structural = [
+            ControlMsg::Drain,
+            ControlMsg::CreateTable {
+                def: acl,
+                blocks: vec![1],
+            },
+            ControlMsg::Resume,
+        ];
+        for batch in [&entry[..], &structural[..]] {
+            let barriers = sharded.barriers();
+            single.apply(batch).unwrap();
+            sharded.apply(batch).unwrap();
+            assert_eq!(sharded.barriers(), barriers, "nothing in flight");
+            let out = run_both(&mut single, &mut sharded);
+            assert!(out.iter().all(|p| p.meta.egress_port == Some(6)));
+            assert!(sharded
+                .published()
+                .is_some_and(|cp| cp.epoch == sharded.master.pm.epoch()));
+        }
+        assert_eq!(
+            serde_json::to_string(&single.report()).unwrap(),
+            serde_json::to_string(&sharded.report()).unwrap()
+        );
+        assert_eq!(
+            route_counters(&single.sm),
+            route_counters(&sharded.master.sm)
+        );
+        assert!(route_counters(&single.sm).iter().any(|&(_, c)| c > 0));
+    }
+
+    /// A worker that dies while idle goes unnoticed by a control batch
+    /// (which spends no barrier), and is caught by the next data batch:
+    /// quarantined, its flows rehashed, no packet lost.
+    #[test]
+    fn worker_dead_while_idle_is_quarantined_at_the_next_batch() {
+        let mut sw = ShardedSwitch::new(IpbmConfig::default(), 2);
+        sw.apply(&l3_msgs(4)).unwrap();
+        for p in traffic(8) {
+            sw.inject(p);
+        }
+        assert_eq!(sw.run_batch().len(), 8);
+
+        let victim = &mut sw.workers[1];
+        assert!(victim.tx.as_ref().unwrap().send(ToShard::Shutdown).is_ok());
+        victim.handle.take().unwrap().join().unwrap();
+        let barriers = sw.barriers();
+        sw.apply(&[ControlMsg::Drain, ControlMsg::Resume]).unwrap();
+        assert_eq!(sw.barriers(), barriers);
+        assert!(sw.take_shard_faults().is_empty());
+
+        for p in traffic(16) {
+            sw.inject(p);
+        }
+        assert_eq!(sw.run_batch().len(), 16, "no packet lost");
+        let faults = sw.take_shard_faults();
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].shard, 1);
+        assert!(matches!(faults[0].kind, ShardFaultKind::Disconnected));
+        assert_eq!(sw.supervisor_stats().lost_packets, 0);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! Undo for the transactional journal ([`crate::resilience`]) is taken at
 //! the same grain as the change: an `EntryUndo` holds one row's
 //! checkpoint and block bytes, a `TableImage` holds the one table a
-//! structural message names.
+//! structural message names. Pool blocks are copy-on-write, so an image
+//! holds its blocks by handle and an SM clone copies no block bytes.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ipsa_core::action::ActionDef;
 use ipsa_core::error::CoreError;
@@ -62,13 +64,15 @@ pub(crate) struct EntryUndo {
 /// Everything a structural message (create/destroy/migrate) can change for
 /// the one table it names: the slab slot and store the name resolved to
 /// (or none, when the name is free), the slab length (a create may push),
-/// and the owner and bytes of every block the message may touch.
+/// and the owner and bytes of every block the message may touch. The bytes
+/// are shared handles: taking the image copies none, and only a block the
+/// message then writes pays for its copy.
 #[derive(Debug)]
 pub(crate) struct TableImage {
     name: String,
     slot: Option<(usize, TableStore)>,
     slab_len: usize,
-    blocks: Vec<(usize, Option<String>, Vec<u8>)>,
+    blocks: Vec<(usize, Option<String>, Arc<Vec<u8>>)>,
 }
 
 /// The storage module.
@@ -457,7 +461,7 @@ impl StorageModule {
             .into_iter()
             .filter_map(|id| {
                 let b = self.pool.block(id)?;
-                Some((id, b.owner.clone(), self.pool.block_data(id)?.to_vec()))
+                Some((id, b.owner.clone(), self.pool.share_block(id)?))
             })
             .collect();
         TableImage {
@@ -470,8 +474,8 @@ impl StorageModule {
 
     /// Puts a [`TableImage`] back: whatever slot the name holds now is
     /// vacated, slots a create pushed are dropped, the captured store goes
-    /// back into its own slot, and the blocks get their owners and bytes
-    /// back.
+    /// back into its own slot, and the blocks get their owners and captured
+    /// bytes back, by handle.
     pub(crate) fn restore_table_image(&mut self, image: TableImage) {
         let TableImage {
             name,
@@ -488,7 +492,7 @@ impl StorageModule {
             self.index.insert(name, i);
         }
         for (id, owner, bytes) in blocks {
-            let r = self.pool.restore_block(id, owner, &bytes);
+            let r = self.pool.restore_block(id, owner, bytes);
             debug_assert!(r.is_ok(), "rollback block restore failed: {r:?}");
         }
     }
@@ -610,6 +614,55 @@ mod tests {
             .read_row(&sm.pool, row)
             .unwrap();
         assert!(bytes.iter().all(|&b| b == 0));
+    }
+
+    /// A table image shares its blocks with the live pool; writes after
+    /// it (an insert, then a migration onto a block the image also
+    /// captured) copy those blocks, and restoring puts the exact pre-image
+    /// bytes and owners back.
+    #[test]
+    fn table_image_restores_exact_bytes_after_writes() {
+        let mut sm = sm();
+        sm.create_table(fib_def(), vec![0]).unwrap();
+        let entry = |value: u128, nh: u128| TableEntry {
+            key: vec![KeyMatch::Lpm {
+                value,
+                prefix_len: 24,
+            }],
+            priority: 0,
+            action: ActionCall::new("set_nh", vec![nh]),
+            counter: 0,
+        };
+        sm.insert_entry("fib", entry(0x0a00_0100, 1)).unwrap();
+        let pre: Vec<Vec<u8>> = (0..sm.pool.len())
+            .map(|id| sm.pool.block_data(id).unwrap().to_vec())
+            .collect();
+
+        let copy = sm.clone();
+        assert!((0..sm.pool.len()).all(|id| Arc::ptr_eq(
+            &sm.pool.share_block(id).unwrap(),
+            &copy.pool.share_block(id).unwrap()
+        )));
+
+        let image = sm.table_image("fib", &[1]);
+        sm.insert_entry("fib", entry(0x0a00_0200, 2)).unwrap();
+        sm.migrate_table("fib", vec![1]).unwrap();
+        assert_ne!(sm.pool.block_data(1).unwrap(), pre[1].as_slice());
+        sm.restore_table_image(image);
+
+        for (id, bytes) in pre.iter().enumerate() {
+            assert_eq!(
+                sm.pool.block_data(id).unwrap(),
+                bytes.as_slice(),
+                "block {id}"
+            );
+            assert_eq!(
+                sm.pool.block(id).unwrap().owner,
+                copy.pool.block(id).unwrap().owner
+            );
+        }
+        assert_eq!(sm.blocks_of("fib"), vec![0]);
+        assert_eq!(sm.table("fib").unwrap().table.len(), 1);
     }
 
     #[test]
