@@ -327,19 +327,15 @@ fn every_entry_point_agrees_and_holds_traffic_while_draining() {
     }
 }
 
-/// What fact guidance decides in a compiled path: the locator-cache proof
-/// and size, and per compiled slot its parse count and branch arms.
+/// What fact guidance decides in a compiled path: per compiled slot its
+/// physical index, parse count and branch arms.
 #[derive(Debug, PartialEq)]
 struct Guidance {
-    stable_headers: bool,
-    cache_slots: usize,
     slots: Vec<(usize, usize, usize)>,
 }
 
 fn guidance(cp: &CompiledPath) -> Guidance {
     Guidance {
-        stable_headers: cp.stable_headers,
-        cache_slots: cp.cache_slots,
         slots: cp
             .ingress
             .iter()
@@ -353,6 +349,20 @@ fn guidance(cp: &CompiledPath) -> Guidance {
 fn next_guidance(sw: &mut IpbmSwitch) -> Guidance {
     assert!(sw.pm.ensure_compiled(&sw.linkage, &sw.sm), "path compiles");
     guidance(sw.pm.compiled().expect("compiled path"))
+}
+
+/// Parse requirements the switch's compiled path elides: each compiled
+/// slot's template requirements minus the parses it kept.
+fn elided_parses(sw: &IpbmSwitch) -> usize {
+    let cp = sw.pm.compiled().expect("compiled path");
+    cp.ingress
+        .iter()
+        .chain(&cp.egress)
+        .map(|s| {
+            let t = sw.pm.slots[s.slot].template.as_ref().expect("programmed");
+            t.parse_requirements().len() - s.parse.len()
+        })
+        .sum()
 }
 
 /// Applies a non-entry batch and checks it opened exactly one epoch.
@@ -370,8 +380,10 @@ fn apply_one_epoch(sw: &mut IpbmSwitch, msgs: &[ControlMsg]) {
 /// `ShardedSwitch` publishes after raw batches is guided the same way.
 #[test]
 fn fact_guidance_follows_device_state() {
-    let fresh = next_guidance(&mut ipsa_sw_flow().device);
-    assert!(fresh.stable_headers && fresh.cache_slots > 0, "{fresh:?}");
+    let mut fresh_flow = ipsa_sw_flow();
+    let fresh = next_guidance(&mut fresh_flow.device);
+    let fresh_elided = elided_parses(&fresh_flow.device);
+    assert!(fresh_elided > 0, "{fresh:?}");
     let decap = ControlMsg::DefineAction(ActionDef {
         name: "raw_decap".into(),
         params: vec![],
@@ -403,7 +415,8 @@ fn fact_guidance_follows_device_state() {
         ],
     );
     let staged = next_guidance(sw);
-    assert!(!staged.stable_headers && staged.slots.len() < fresh.slots.len());
+    assert!(staged.slots.len() < fresh.slots.len(), "{staged:?}");
+    assert!(elided_parses(sw) < fresh_elided, "{staged:?}");
     sw.revert_staged().expect("transaction reverts");
     assert_eq!(next_guidance(sw), fresh, "after a reverted staged batch");
 
@@ -428,8 +441,17 @@ fn fact_guidance_follows_device_state() {
     assert_eq!(guidance(published), fresh, "the sharded publish");
 }
 
+/// `PROPTEST_CASES` when set, else `default`: tier-1 runs stay short and CI
+/// can run the same property deeper.
+fn cases_or(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cases_or(12)))]
 
     /// Property: for arbitrary traffic mixes and an arbitrary split point,
     /// interpreter and fast path agree on every observable, including

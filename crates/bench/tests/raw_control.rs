@@ -7,9 +7,9 @@
 //! strip headers, templates with a duplicated guard or copied into a second
 //! slot, a bare `Drain` or
 //! `Resume`, and entry ops on unknown tables or with keys of the wrong
-//! width. The compiled fast path derives its dataflow facts from whatever
+//! width. The compiled fast path derives its parse elision from whatever
 //! state such batches leave behind, so this is also the safety net for
-//! fact guidance on states no controller produced.
+//! elision on states no controller produced.
 //!
 //! Twin devices apply the same batches. `apply` must return `Ok` or a typed
 //! error, never panic, and the same on both; after every batch the
@@ -227,6 +227,83 @@ fn template_copied_over_an_earlier_slot_stays_exact() {
             &format!("slot {slot} copied over slot {first}"),
         );
     }
+}
+
+/// A raw decap action (`RemoveHeader ipv4`, then forward to port 1) run on
+/// every hit of the first ingress slot that parses `ipv4`, ahead of a later slot that requires
+/// `ipv4` again. Both slots are narrowed to their IPv4 arms, so nothing
+/// else walks the parse frontier to its end: after the decap the later
+/// `ipv4` parse is no longer a no-op (it extracts past the removed header),
+/// and parse elision must keep it, because `ipv4` is in the kill set.
+#[test]
+fn decap_ahead_of_a_later_ipv4_parse_stays_exact() {
+    let base = &designs()[0];
+    let needs_v4 = |slot: &usize| {
+        base.templates[*slot]
+            .as_ref()
+            .is_some_and(|t| t.parse_requirements().iter().any(|h| h == "ipv4"))
+    };
+    let mut v4_slots = base.selector.ingress_slots().into_iter().filter(needs_v4);
+    let decap_slot = v4_slots.next().expect("an ingress slot parses ipv4");
+    let later = v4_slots.next().expect("a later ingress slot needs ipv4");
+    let v4_only = |slot: usize| {
+        let mut t = base.templates[slot].clone().expect("programmed");
+        t.parse = vec!["ipv4".into()];
+        t.branches
+            .retain(|b| b.pred.read_headers().iter().all(|h| h == "ipv4"));
+        t
+    };
+    let mut decap = v4_only(decap_slot);
+    for (_, call) in &mut decap.executor {
+        *call = ActionCall::new("raw_decap", vec![]);
+    }
+    let msgs = [
+        ControlMsg::DefineAction(ActionDef {
+            name: "raw_decap".into(),
+            params: vec![],
+            body: vec![
+                Primitive::RemoveHeader {
+                    header: "ipv4".into(),
+                },
+                Primitive::Forward {
+                    port: ValueRef::Const(1),
+                },
+            ],
+        }),
+        ControlMsg::WriteTemplate {
+            slot: decap_slot,
+            template: decap,
+        },
+        ControlMsg::WriteTemplate {
+            slot: later,
+            template: v4_only(later),
+        },
+    ];
+    let (mut interp, mut fast) = (populated(), populated());
+    interp.device.apply(&msgs).expect("decap installs");
+    fast.device.apply(&msgs).expect("decap installs");
+    assert!(
+        fast.device
+            .pm
+            .ensure_compiled(&fast.device.linkage, &fast.device.sm),
+        "the decap design compiles"
+    );
+    let mut gen = TrafficGen::new(7).with_flows(16).with_v6_percent(0);
+    for burst in 0..4 {
+        assert_twins_agree(
+            &mut interp.device,
+            &mut fast.device,
+            &mut gen,
+            &format!("burst {burst}: decap at slot {decap_slot}, ipv4 again at {later}"),
+        );
+    }
+    let stats = |sw: &IpbmSwitch, slot: usize| sw.pm.slots[slot].stats;
+    assert!(stats(&fast.device, decap_slot).hits > 0, "the decap ran");
+    assert!(fast.device.pm.stats.emitted > 0, "decapped frames left");
+    assert!(
+        stats(&interp.device, later).parse_extractions > 0,
+        "the later ipv4 parse extracted past the removed header"
+    );
 }
 
 proptest! {

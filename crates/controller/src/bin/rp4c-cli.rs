@@ -22,8 +22,8 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use ipsa_controller::{parse_script, ScriptCmd};
-use rp4c::{CompilerTarget, LayoutAlgo, UpdateCmd};
+use ipsa_controller::lower_script;
+use rp4c::{CompilerTarget, LayoutAlgo};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -310,23 +310,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
         std::fs::read_to_string(script_dir.join(name)).ok()
     };
 
-    let cmds = parse_script(&script_src).map_err(|e| e.to_string())?;
-    let mut update_cmds = Vec::new();
-    for cmd in cmds {
-        update_cmds.push(match cmd {
-            ScriptCmd::Load { file, func } => {
-                let src = resolve(&file).ok_or(format!("snippet `{file}` not found"))?;
-                let snippet = rp4_lang::parse(&src).map_err(|e| e.to_string())?;
-                UpdateCmd::Load { snippet, func }
-            }
-            ScriptCmd::Unload { func } => UpdateCmd::Unload { func },
-            ScriptCmd::AddLink { from, to } => UpdateCmd::AddLink { from, to },
-            ScriptCmd::DelLink { from, to } => UpdateCmd::DelLink { from, to },
-            ScriptCmd::LinkHeader { pre, next, tag } => UpdateCmd::LinkHeader { pre, next, tag },
-            ScriptCmd::UnlinkHeader { pre, next } => UpdateCmd::UnlinkHeader { pre, next },
-            other => return Err(format!("table operation {other:?} is runtime-only")),
-        });
-    }
+    let update_cmds = lower_script(&script_src, &resolve).map_err(|e| e.to_string())?;
     let plan = rp4c::incremental_compile(
         &compilation.design,
         &compilation.program,

@@ -242,11 +242,7 @@ impl<D: Device> Rp4Flow<D> {
         script: &str,
         sources: &dyn Fn(&str) -> Option<String>,
     ) -> Result<rp4c::UpdatePlan, ControllerError> {
-        let mut parse_us = 0.0;
-        let update_cmds = parse_lines(script)?
-            .into_iter()
-            .map(|(line, cmd)| lower(line, cmd, sources, &mut parse_us))
-            .collect::<Result<Vec<_>, _>>()?;
+        let update_cmds = lower_script(script, sources)?;
         Ok(incremental_compile(
             &self.design,
             &self.program,
@@ -360,6 +356,21 @@ impl<D: Device> Rp4Flow<D> {
         self.flush_updates(&mut pending, &mut outcome)?;
         Ok(outcome)
     }
+}
+
+/// Lowers a *structural* script to the compiler's update commands,
+/// resolving every snippet it names through `sources`. A table operation
+/// has no compiled form (it runs on the live device), so a script with one
+/// is an error.
+pub fn lower_script(
+    script: &str,
+    sources: &dyn Fn(&str) -> Option<String>,
+) -> Result<Vec<UpdateCmd>, ControllerError> {
+    let mut parse_us = 0.0;
+    parse_lines(script)?
+        .into_iter()
+        .map(|(line, cmd)| lower(line, cmd, sources, &mut parse_us))
+        .collect()
 }
 
 /// Lowers the structural script command on 1-based `line` to the

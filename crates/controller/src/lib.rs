@@ -19,7 +19,7 @@ pub mod programs;
 pub mod script;
 pub mod table_api;
 
-pub use driver::{Checkpoint, ControllerError, P4Flow, Rp4Flow, ScriptOutcome};
+pub use driver::{lower_script, Checkpoint, ControllerError, P4Flow, Rp4Flow, ScriptOutcome};
 pub use script::{parse_script, KeyToken, ScriptCmd};
 
 #[cfg(test)]

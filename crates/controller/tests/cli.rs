@@ -98,6 +98,52 @@ fn rp4c_plan_prints_msgs_and_updated_design() {
     assert!(prog.stage("nexthop").is_none(), "replaced stage dropped");
 }
 
+/// `plan` lowers a script the way the driver does: an `update` line
+/// replaces a loaded function from a second snippet, here found in the
+/// script's own directory after `--snippets` missed it.
+#[test]
+fn rp4c_plan_updates_a_loaded_function() {
+    let dir = programs_dir();
+    let work = std::env::temp_dir().join(format!("rp4c_cli_plan_update_{}", std::process::id()));
+    std::fs::create_dir_all(&work).unwrap();
+    let ecmp = std::fs::read_to_string(dir.join("ecmp.rp4")).unwrap();
+    assert!(ecmp.contains("size = 4096;"));
+    std::fs::write(
+        work.join("ecmp_v2.rp4"),
+        ecmp.replace("size = 4096;", "size = 2048;"),
+    )
+    .unwrap();
+    let script = work.join("update.script");
+    std::fs::write(
+        &script,
+        "load ecmp.rp4 --func_name ecmp\n\
+         add_link ipv6_host ecmp\n\
+         add_link ecmp dmac\n\
+         del_link ipv6_host nexthop\n\
+         del_link nexthop dmac\n\
+         update ecmp_v2.rp4 --func_name ecmp\n",
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = rp4c(&[
+        "plan",
+        "--base",
+        dir.join("base.rp4").to_str().unwrap(),
+        "--script",
+        script.to_str().unwrap(),
+        "--snippets",
+        dir.to_str().unwrap(),
+    ]);
+    std::fs::remove_dir_all(&work).unwrap();
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("template writes"), "{stderr}");
+    let marker = "// --- updated base design (rp4bc output 1) ---";
+    let updated = stdout.split(marker).nth(1).expect("updated design printed");
+    let prog = rp4_lang::parse(updated).expect("updated design parses");
+    assert!(prog.stage("ecmp").is_some());
+    let table = prog.table("ecmp_ipv4").expect("revised table present");
+    assert_eq!(table.size, Some(2048), "the revision replaced the load");
+}
+
 #[test]
 fn rp4c_rejects_bad_input() {
     let (ok, _, stderr) = rp4c(&["check", "/nonexistent/file.rp4"]);

@@ -22,8 +22,9 @@
 //! * crossbar reachability is verified at compile time, so the per-packet
 //!   `can_reach` loop disappears,
 //! * action bodies become [`FastPrim`] sequences with operands pre-bound,
-//! * the dataflow facts of the latched state ([`facts::derive`]) drop
-//!   provably redundant parses, unreachable arms and dead stores.
+//! * parse elision, the one dataflow fact of the latched state
+//!   ([`facts::derive`]) the fast path uses, drops parse requirements an
+//!   earlier slot provably settled.
 //!
 //! Per packet, the fast path performs no `String` comparison (a compiled
 //! table checks its slab slot by creation stamp,
@@ -64,101 +65,6 @@ pub struct EvalScratch {
     pub key: Vec<u128>,
     /// Hash-primitive input values.
     pub hash: Vec<u128>,
-    /// Per-packet header-locator cache (fact-guided; disabled without a
-    /// `stable_headers` proof).
-    pub loc: LocCache,
-}
-
-/// One header-locator cache entry (see [`LocCache`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct LocEntry {
-    /// Generation this entry was filled in; stale when it trails the
-    /// cache's current generation.
-    gen: u64,
-    /// Whether the header was present when cached.
-    present: bool,
-    /// Byte offset of the header within the packet.
-    offset: u32,
-    /// Byte length of the header instance.
-    len: u32,
-}
-
-/// A per-packet memo of header locations, indexed by the dense cache ids
-/// the epoch compiler assigns to every header reference in the path.
-///
-/// Soundness rests on the [`facts::ProgramFacts::stable_headers`] proof: no
-/// registered action inserts or removes headers, so within one packet a
-/// location can only change when the *parser* extracts something — and the
-/// fast path bumps the generation after every extracting parse phase
-/// (`CompiledPath::process_slot`), which invalidates the whole memo.
-/// Without that proof the cache stays disabled and every probe falls
-/// through to [`Packet::find_sym`]'s linear scan.
-#[derive(Debug, Default)]
-pub struct LocCache {
-    enabled: bool,
-    gen: u64,
-    slots: Vec<LocEntry>,
-}
-
-impl LocCache {
-    /// Opens a new packet: everything cached so far becomes stale.
-    fn begin_packet(&mut self, enabled: bool, cache_slots: usize) {
-        self.enabled = enabled;
-        self.gen += 1;
-        if self.slots.len() < cache_slots {
-            self.slots.resize(cache_slots, LocEntry::default());
-        }
-    }
-
-    /// Drops all cached locations (parser extracted a header mid-packet).
-    fn invalidate(&mut self) {
-        self.gen += 1;
-    }
-
-    /// Locates `sym` in the packet, through the cache when enabled.
-    #[inline]
-    fn find(&mut self, pkt: &Packet, sym: Sym, cache: u32) -> Option<(usize, usize)> {
-        if !self.enabled {
-            return pkt.find_sym(sym).map(|h| (h.offset, h.len));
-        }
-        let e = &mut self.slots[cache as usize];
-        if e.gen == self.gen {
-            return e.present.then_some((e.offset as usize, e.len as usize));
-        }
-        let r = pkt.find_sym(sym).map(|h| (h.offset, h.len));
-        *e = match r {
-            Some((o, l)) => LocEntry {
-                gen: self.gen,
-                present: true,
-                offset: o as u32,
-                len: l as u32,
-            },
-            None => LocEntry {
-                gen: self.gen,
-                present: false,
-                offset: 0,
-                len: 0,
-            },
-        };
-        r
-    }
-}
-
-/// Compile-time assignment of dense [`LocCache`] ids, one per distinct
-/// header symbol referenced by the compiled path.
-#[derive(Debug, Default)]
-struct CacheIds(Vec<Sym>);
-
-impl CacheIds {
-    fn id(&mut self, sym: Sym) -> u32 {
-        match self.0.iter().position(|s| *s == sym) {
-            Some(i) => i as u32,
-            None => {
-                self.0.push(sym);
-                (self.0.len() - 1) as u32
-            }
-        }
-    }
 }
 
 /// A pre-resolved metadata reference: intrinsics become enum variants,
@@ -228,8 +134,6 @@ pub enum FastVal {
         bit_off: usize,
         /// Field width in bits.
         bits: usize,
-        /// Locator-cache slot for `sym`.
-        cache: u32,
     },
     /// A metadata field.
     Meta(MetaRef),
@@ -242,20 +146,16 @@ pub enum FastVal {
 }
 
 impl FastVal {
-    fn compile(v: &ValueRef, linkage: &HeaderLinkage, ids: &mut CacheIds) -> FastVal {
+    fn compile(v: &ValueRef, linkage: &HeaderLinkage) -> FastVal {
         match v {
             ValueRef::Const(c) => FastVal::Const(*c),
             ValueRef::Field { header, field } => {
                 match linkage.get(header).and_then(|t| t.field_span(field).ok()) {
-                    Some((bit_off, bits)) => {
-                        let sym = Sym::intern(header);
-                        FastVal::Field {
-                            sym,
-                            bit_off,
-                            bits,
-                            cache: ids.id(sym),
-                        }
-                    }
+                    Some((bit_off, bits)) => FastVal::Field {
+                        sym: Sym::intern(header),
+                        bit_off,
+                        bits,
+                    },
                     None => FastVal::Slow(v.clone()),
                 }
             }
@@ -269,24 +169,14 @@ impl FastVal {
     /// field of an absent header, [`CoreError::BadActionData`] with an
     /// empty action name for an out-of-range parameter).
     #[inline]
-    fn read(
-        &self,
-        pkt: &Packet,
-        ctx: &EvalCtx<'_>,
-        loc: &mut LocCache,
-    ) -> Result<Option<u128>, CoreError> {
+    fn read(&self, pkt: &Packet, ctx: &EvalCtx<'_>) -> Result<Option<u128>, CoreError> {
         match self {
             FastVal::Const(c) => Ok(Some(*c)),
-            FastVal::Field {
-                sym,
-                bit_off,
-                bits,
-                cache,
-            } => match loc.find(pkt, *sym, *cache) {
+            FastVal::Field { sym, bit_off, bits } => match pkt.find_sym(*sym) {
                 None => Ok(None),
-                Some((offset, len)) => Ok(Some(
-                    get_bits(&pkt.data[offset..offset + len], *bit_off, *bits)
-                        .map_err(ipsa_netpkt::packet::PacketError::from)?,
+                Some(h) => Ok(Some(
+                    get_bits(&pkt.data[h.offset..h.offset + h.len], *bit_off, *bits)
+                        .map_err(PacketError::from)?,
                 )),
             },
             FastVal::Meta(m) => Ok(Some(m.read(&pkt.meta))),
@@ -315,9 +205,8 @@ fn fast_read_operand(
     pkt: &Packet,
     ctx: &EvalCtx<'_>,
     action: &str,
-    loc: &mut LocCache,
 ) -> Result<u128, CoreError> {
-    match v.read(pkt, ctx, loc) {
+    match v.read(pkt, ctx) {
         Ok(Some(x)) => Ok(x),
         Ok(None) => Err(CoreError::Packet(PacketError::HeaderNotPresent(format!(
             "operand of action `{action}`"
@@ -345,8 +234,6 @@ pub enum FastLVal {
         bit_off: usize,
         /// Field width in bits.
         bits: usize,
-        /// Locator-cache slot for `sym`.
-        cache: u32,
     },
     /// A metadata destination with its declared width.
     Meta {
@@ -365,12 +252,7 @@ pub enum FastLVal {
 }
 
 impl FastLVal {
-    fn compile(
-        lv: &LValueRef,
-        linkage: &HeaderLinkage,
-        sm: &StorageModule,
-        ids: &mut CacheIds,
-    ) -> FastLVal {
+    fn compile(lv: &LValueRef, linkage: &HeaderLinkage, sm: &StorageModule) -> FastLVal {
         match lv {
             LValueRef::Meta(name) => FastLVal::Meta {
                 meta: MetaRef::compile(name),
@@ -378,15 +260,11 @@ impl FastLVal {
             },
             LValueRef::Field { header, field } => {
                 match linkage.get(header).and_then(|t| t.field_span(field).ok()) {
-                    Some((bit_off, bits)) => {
-                        let sym = Sym::intern(header);
-                        FastLVal::Field {
-                            sym,
-                            bit_off,
-                            bits,
-                            cache: ids.id(sym),
-                        }
-                    }
+                    Some((bit_off, bits)) => FastLVal::Field {
+                        sym: Sym::intern(header),
+                        bit_off,
+                        bits,
+                    },
                     None => FastLVal::Slow {
                         lv: lv.clone(),
                         // Mirrors LValueRef::width's fallback for unresolvable
@@ -411,29 +289,23 @@ impl FastLVal {
     /// Writes `value`; mirrors [`LValueRef::write`] (field writes to an
     /// absent header error).
     #[inline]
-    fn write(
-        &self,
-        pkt: &mut Packet,
-        ctx: &EvalCtx<'_>,
-        value: u128,
-        loc: &mut LocCache,
-    ) -> Result<(), CoreError> {
+    fn write(&self, pkt: &mut Packet, ctx: &EvalCtx<'_>, value: u128) -> Result<(), CoreError> {
         match self {
             FastLVal::Meta { meta, .. } => {
                 meta.write(&mut pkt.meta, value);
                 Ok(())
             }
-            FastLVal::Field {
-                sym,
-                bit_off,
-                bits,
-                cache,
-            } => {
-                let (offset, len) = loc
-                    .find(pkt, *sym, *cache)
+            FastLVal::Field { sym, bit_off, bits } => {
+                let h = *pkt
+                    .find_sym(*sym)
                     .ok_or_else(|| PacketError::HeaderNotPresent(sym.as_str().to_string()))?;
-                set_bits(&mut pkt.data[offset..offset + len], *bit_off, *bits, value)
-                    .map_err(PacketError::from)?;
+                set_bits(
+                    &mut pkt.data[h.offset..h.offset + h.len],
+                    *bit_off,
+                    *bits,
+                    value,
+                )
+                .map_err(PacketError::from)?;
                 Ok(())
             }
             FastLVal::Slow { lv, .. } => lv.write(pkt, ctx, value),
@@ -448,12 +320,7 @@ pub enum FastPred {
     /// Always true.
     True,
     /// `header.isValid()` on an interned name.
-    IsValid {
-        /// Interned header name.
-        sym: Sym,
-        /// Locator-cache slot for `sym`.
-        cache: u32,
-    },
+    IsValid(Sym),
     /// Negation.
     Not(Box<FastPred>),
     /// Conjunction (short-circuit).
@@ -472,47 +339,39 @@ pub enum FastPred {
 }
 
 impl FastPred {
-    fn compile(p: &Predicate, linkage: &HeaderLinkage, ids: &mut CacheIds) -> FastPred {
+    fn compile(p: &Predicate, linkage: &HeaderLinkage) -> FastPred {
         match p {
             Predicate::True => FastPred::True,
-            Predicate::IsValid(h) => {
-                let sym = Sym::intern(h);
-                FastPred::IsValid {
-                    sym,
-                    cache: ids.id(sym),
-                }
-            }
-            Predicate::Not(p) => FastPred::Not(Box::new(FastPred::compile(p, linkage, ids))),
+            Predicate::IsValid(h) => FastPred::IsValid(Sym::intern(h)),
+            Predicate::Not(p) => FastPred::Not(Box::new(FastPred::compile(p, linkage))),
             Predicate::And(a, b) => FastPred::And(
-                Box::new(FastPred::compile(a, linkage, ids)),
-                Box::new(FastPred::compile(b, linkage, ids)),
+                Box::new(FastPred::compile(a, linkage)),
+                Box::new(FastPred::compile(b, linkage)),
             ),
             Predicate::Or(a, b) => FastPred::Or(
-                Box::new(FastPred::compile(a, linkage, ids)),
-                Box::new(FastPred::compile(b, linkage, ids)),
+                Box::new(FastPred::compile(a, linkage)),
+                Box::new(FastPred::compile(b, linkage)),
             ),
             Predicate::Cmp { lhs, op, rhs } => FastPred::Cmp {
-                lhs: FastVal::compile(lhs, linkage, ids),
+                lhs: FastVal::compile(lhs, linkage),
                 op: *op,
-                rhs: FastVal::compile(rhs, linkage, ids),
+                rhs: FastVal::compile(rhs, linkage),
             },
         }
     }
 
     /// Mirrors [`Predicate::eval`].
-    fn eval(&self, pkt: &Packet, ctx: &EvalCtx<'_>, loc: &mut LocCache) -> Result<bool, CoreError> {
+    fn eval(&self, pkt: &Packet, ctx: &EvalCtx<'_>) -> Result<bool, CoreError> {
         Ok(match self {
             FastPred::True => true,
-            FastPred::IsValid { sym, cache } => loc.find(pkt, *sym, *cache).is_some(),
-            FastPred::Not(p) => !p.eval(pkt, ctx, loc)?,
-            FastPred::And(a, b) => a.eval(pkt, ctx, loc)? && b.eval(pkt, ctx, loc)?,
-            FastPred::Or(a, b) => a.eval(pkt, ctx, loc)? || b.eval(pkt, ctx, loc)?,
-            FastPred::Cmp { lhs, op, rhs } => {
-                match (lhs.read(pkt, ctx, loc)?, rhs.read(pkt, ctx, loc)?) {
-                    (Some(a), Some(b)) => op.apply(a, b),
-                    _ => false,
-                }
-            }
+            FastPred::IsValid(sym) => pkt.find_sym(*sym).is_some(),
+            FastPred::Not(p) => !p.eval(pkt, ctx)?,
+            FastPred::And(a, b) => a.eval(pkt, ctx)? && b.eval(pkt, ctx)?,
+            FastPred::Or(a, b) => a.eval(pkt, ctx)? || b.eval(pkt, ctx)?,
+            FastPred::Cmp { lhs, op, rhs } => match (lhs.read(pkt, ctx)?, rhs.read(pkt, ctx)?) {
+                (Some(a), Some(b)) => op.apply(a, b),
+                _ => false,
+            },
         })
     }
 }
@@ -593,47 +452,42 @@ pub enum FastPrim {
 }
 
 impl FastPrim {
-    fn compile(
-        p: &Primitive,
-        linkage: &HeaderLinkage,
-        sm: &StorageModule,
-        ids: &mut CacheIds,
-    ) -> FastPrim {
+    fn compile(p: &Primitive, linkage: &HeaderLinkage, sm: &StorageModule) -> FastPrim {
         let span =
             |header: &str, field: &str| linkage.get(header).and_then(|t| t.field_span(field).ok());
         match p {
             Primitive::NoAction => FastPrim::NoAction,
             Primitive::Set { dst, src } => FastPrim::Set {
-                dst: FastLVal::compile(dst, linkage, sm, ids),
-                src: FastVal::compile(src, linkage, ids),
+                dst: FastLVal::compile(dst, linkage, sm),
+                src: FastVal::compile(src, linkage),
             },
             Primitive::Alu { op, dst, a, b } => FastPrim::Alu {
                 op: *op,
-                dst: FastLVal::compile(dst, linkage, sm, ids),
-                a: FastVal::compile(a, linkage, ids),
-                b: FastVal::compile(b, linkage, ids),
+                dst: FastLVal::compile(dst, linkage, sm),
+                a: FastVal::compile(a, linkage),
+                b: FastVal::compile(b, linkage),
             },
             Primitive::Hash {
                 dst,
                 inputs,
                 modulo,
             } => FastPrim::Hash {
-                dst: FastLVal::compile(dst, linkage, sm, ids),
+                dst: FastLVal::compile(dst, linkage, sm),
                 inputs: inputs
                     .iter()
-                    .map(|v| FastVal::compile(v, linkage, ids))
+                    .map(|v| FastVal::compile(v, linkage))
                     .collect(),
                 modulo: *modulo,
             },
             Primitive::Forward { port } => FastPrim::Forward {
-                port: FastVal::compile(port, linkage, ids),
+                port: FastVal::compile(port, linkage),
             },
             Primitive::Drop => FastPrim::Drop,
             Primitive::Mark { value } => FastPrim::Mark {
-                value: FastVal::compile(value, linkage, ids),
+                value: FastVal::compile(value, linkage),
             },
             Primitive::MarkIfCounterOver { threshold } => FastPrim::MarkIfCounterOver {
-                threshold: FastVal::compile(threshold, linkage, ids),
+                threshold: FastVal::compile(threshold, linkage),
             },
             Primitive::DecTtlV4 => {
                 match (
@@ -733,11 +587,6 @@ pub struct CompiledPath {
     pub egress: Vec<CompiledSlot>,
     /// Deduplicated compiled actions, indexed by [`CompiledCall::action`].
     pub actions: Vec<FastAction>,
-    /// Proven by dataflow analysis: no action mutates the header set, so
-    /// the per-packet locator cache is sound (see [`LocCache`]).
-    pub stable_headers: bool,
-    /// Number of distinct [`LocCache`] slots the compiled path references.
-    pub cache_slots: usize,
 }
 
 /// Compiles the active pipeline against the current storage-module state.
@@ -747,15 +596,12 @@ pub struct CompiledPath {
 /// a table's blocks are not reachable through the crossbar from its slot,
 /// or an executor arm references an undefined action.
 ///
-/// Every compile derives the pipeline's dataflow facts ([`facts::derive`])
+/// Every compile derives the pipeline's parse elision ([`facts::derive`])
 /// from the state it compiles — `slots`, `selector` and the actions
-/// registered in `sm` — so fact guidance holds whichever control messages
-/// produced that state. Every fact consumed here is exactness-preserving:
-/// elided parse requirements were already satisfied by an earlier slot (so
-/// the skipped `ensure_parsed_sym` would have been a no-op), pruned branch
-/// arms are statically unreachable (never chosen by the interpreter), and
-/// dead stores become [`FastPrim::NoAction`] so the primitive count — and
-/// hence every statistic — is unchanged.
+/// registered in `sm` — so it holds whichever control messages produced
+/// that state. Elision is exact: an elided parse requirement was already
+/// satisfied by an earlier slot and no registered action can unsettle it,
+/// so the skipped `ensure_parsed_sym` would have been a no-op.
 pub fn compile(
     slots: &[TspSlot],
     selector: &SelectorConfig,
@@ -771,139 +617,107 @@ pub fn compile(
     );
     let mut actions = Vec::new();
     let mut action_ids = Interner::new();
-    let mut cache_ids = CacheIds::default();
-    let mut compile_role =
-        |role: SlotRole, ids: &mut CacheIds| -> Result<Vec<CompiledSlot>, CoreError> {
-            let mut out = Vec::new();
-            for slot_idx in selector.slots_with(role) {
-                let Some(template) = slots[slot_idx].template.as_ref() else {
-                    // Unprogrammed active slot: the interpreter no-ops it with
-                    // zero stats, so simply omit it.
-                    continue;
-                };
-                let slot_facts = proven.slot(&template.stage_name);
-                let mut compile_call =
-                    |call: &ActionCall, ids: &mut CacheIds| -> Result<CompiledCall, CoreError> {
-                        let def = sm
-                            .actions
-                            .get(&call.action)
-                            .ok_or_else(|| CoreError::UnknownAction(call.action.clone()))?;
-                        let id = action_ids.intern(&call.action) as usize;
-                        if id == actions.len() {
-                            actions.push(FastAction {
-                                name: def.name.clone(),
-                                prims: def
-                                    .body
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, p)| {
-                                        if proven.is_dead_store(&call.action, i) {
-                                            // Proven dead store: the written value
-                                            // is overwritten before any read. Keep
-                                            // a NoAction in its place so the
-                                            // primitive count (a statistic the
-                                            // differential suite pins) is intact.
-                                            FastPrim::NoAction
-                                        } else {
-                                            FastPrim::compile(p, linkage, sm, ids)
-                                        }
-                                    })
-                                    .collect(),
-                            });
-                        }
-                        Ok(CompiledCall {
-                            action: id,
-                            args: call.args.clone(),
-                        })
-                    };
-                let mut tables = Vec::new();
-                let mut branches = Vec::new();
-                for (arm_idx, b) in template.branches.iter().enumerate() {
-                    if slot_facts.is_some_and(|sf| sf.unreachable_arms.contains(&arm_idx)) {
-                        // Proven unreachable: the interpreter can never pick
-                        // this arm (shadowed or self-contradictory guard), so
-                        // eliding it cannot change which branch fires.
-                        continue;
-                    }
-                    let tidx = match &b.table {
-                        None => None,
-                        Some(name) => {
-                            let store = sm
-                                .table_idx(name)
-                                .ok_or_else(|| CoreError::UnknownTable(name.clone()))?;
-                            for block in sm.blocks_of(name) {
-                                if !crossbar.can_reach(slot_idx, block) {
-                                    return Err(CoreError::CrossbarViolation(format!(
+    let mut compile_role = |role: SlotRole| -> Result<Vec<CompiledSlot>, CoreError> {
+        let mut out = Vec::new();
+        for slot_idx in selector.slots_with(role) {
+            let Some(template) = slots[slot_idx].template.as_ref() else {
+                // Unprogrammed active slot: the interpreter no-ops it with
+                // zero stats, so simply omit it.
+                continue;
+            };
+            let mut compile_call = |call: &ActionCall| -> Result<CompiledCall, CoreError> {
+                let def = sm
+                    .actions
+                    .get(&call.action)
+                    .ok_or_else(|| CoreError::UnknownAction(call.action.clone()))?;
+                let id = action_ids.intern(&call.action) as usize;
+                if id == actions.len() {
+                    actions.push(FastAction {
+                        name: def.name.clone(),
+                        prims: def
+                            .body
+                            .iter()
+                            .map(|p| FastPrim::compile(p, linkage, sm))
+                            .collect(),
+                    });
+                }
+                Ok(CompiledCall {
+                    action: id,
+                    args: call.args.clone(),
+                })
+            };
+            let mut tables = Vec::new();
+            let mut branches = Vec::new();
+            for b in &template.branches {
+                let tidx = match &b.table {
+                    None => None,
+                    Some(name) => {
+                        let store = sm
+                            .table_idx(name)
+                            .ok_or_else(|| CoreError::UnknownTable(name.clone()))?;
+                        for block in sm.blocks_of(name) {
+                            if !crossbar.can_reach(slot_idx, block) {
+                                return Err(CoreError::CrossbarViolation(format!(
                                     "slot {slot_idx} cannot reach block {block} of table `{name}`"
                                 )));
-                                }
                             }
-                            // `table_idx` just resolved the name, but go
-                            // through the fallible accessor anyway: a
-                            // compile must never panic, only fall back to
-                            // the interpreter.
-                            let ts = sm
-                                .store_at(store)
-                                .ok_or_else(|| CoreError::UnknownTable(name.clone()))?;
-                            tables.push(CompiledTable {
-                                store,
-                                stamp: ts.stamp(),
-                                name: name.clone(),
-                                key: ts
-                                    .table
-                                    .def
-                                    .key
-                                    .iter()
-                                    .map(|k| {
-                                        (
-                                            FastVal::compile(&k.source, linkage, ids),
-                                            width_mask(k.bits),
-                                        )
-                                    })
-                                    .collect(),
-                                accesses: ts.map.accesses_per_lookup(sm.bus_bits) as u64,
-                            });
-                            Some(tables.len() - 1)
                         }
-                    };
-                    branches.push((FastPred::compile(&b.pred, linkage, ids), tidx));
-                }
-                let executor = template
-                    .executor
-                    .iter()
-                    .map(|(tag, call)| Ok((*tag, compile_call(call, ids)?)))
-                    .collect::<Result<Vec<_>, CoreError>>()?;
-                let default_call = compile_call(&template.default_action, ids)?;
-                out.push(CompiledSlot {
-                    slot: slot_idx,
-                    parse: template
-                        .parse_requirements()
-                        .iter()
-                        .filter(|h| {
-                            // Elide parses an earlier slot provably settled:
-                            // `ensure_parsed_sym` would be a no-op, so neither
-                            // the packet nor `parse_extractions` can differ.
-                            !slot_facts.is_some_and(|sf| sf.elide_parse.contains(*h))
-                        })
-                        .map(|h| Sym::intern(h))
-                        .collect(),
-                    branches,
-                    tables,
-                    executor,
-                    default_call,
-                });
+                        // `table_idx` just resolved the name, but go through
+                        // the fallible accessor anyway: a compile must never
+                        // panic, only fall back to the interpreter.
+                        let ts = sm
+                            .store_at(store)
+                            .ok_or_else(|| CoreError::UnknownTable(name.clone()))?;
+                        tables.push(CompiledTable {
+                            store,
+                            stamp: ts.stamp(),
+                            name: name.clone(),
+                            key: ts
+                                .table
+                                .def
+                                .key
+                                .iter()
+                                .map(|k| (FastVal::compile(&k.source, linkage), width_mask(k.bits)))
+                                .collect(),
+                            accesses: ts.map.accesses_per_lookup(sm.bus_bits) as u64,
+                        });
+                        Some(tables.len() - 1)
+                    }
+                };
+                branches.push((FastPred::compile(&b.pred, linkage), tidx));
             }
-            Ok(out)
-        };
-    let ingress = compile_role(SlotRole::Ingress, &mut cache_ids)?;
-    let egress = compile_role(SlotRole::Egress, &mut cache_ids)?;
+            let executor = template
+                .executor
+                .iter()
+                .map(|(tag, call)| Ok((*tag, compile_call(call)?)))
+                .collect::<Result<Vec<_>, CoreError>>()?;
+            let default_call = compile_call(&template.default_action)?;
+            let elide = proven
+                .slot(&template.stage_name)
+                .map_or(&[][..], |sf| &sf.elide_parse[..]);
+            out.push(CompiledSlot {
+                slot: slot_idx,
+                parse: template
+                    .parse_requirements()
+                    .iter()
+                    .filter(|h| !elide.contains(*h))
+                    .map(|h| Sym::intern(h))
+                    .collect(),
+                branches,
+                tables,
+                executor,
+                default_call,
+            });
+        }
+        Ok(out)
+    };
+    let ingress = compile_role(SlotRole::Ingress)?;
+    let egress = compile_role(SlotRole::Egress)?;
     Ok(CompiledPath {
         epoch,
         ingress,
         egress,
         actions,
-        stable_headers: proven.stable_headers,
-        cache_slots: cache_ids.0.len(),
     })
 }
 
@@ -926,17 +740,12 @@ impl CompiledPath {
         for &h in &cs.parse {
             let _ = pkt.ensure_parsed_sym(linkage, h)?;
         }
-        if pkt.parse_extractions != before {
-            // The parser moved the frontier: every memoized header
-            // location may be stale.
-            scratch.loc.invalidate();
-        }
         stats.parse_extractions += pkt.parse_extractions - before;
 
         let ctx = EvalCtx::bare(linkage);
         let mut chosen: Option<usize> = None;
         for (pred, t) in &cs.branches {
-            if pred.eval(pkt, &ctx, &mut scratch.loc)? {
+            if pred.eval(pkt, &ctx)? {
                 chosen = *t;
                 break;
             }
@@ -968,7 +777,7 @@ impl CompiledPath {
         scratch.key.clear();
         let mut have = true;
         for (fv, mask) in &ct.key {
-            match fv.read(pkt, &ctx, &mut scratch.loc)? {
+            match fv.read(pkt, &ctx)? {
                 Some(v) => scratch.key.push(v & mask),
                 None => {
                     have = false;
@@ -1067,9 +876,6 @@ impl CompiledPath {
         mut pkt: Packet,
     ) -> Result<Option<Packet>, CoreError> {
         stats.received += 1;
-        scratch
-            .loc
-            .begin_packet(self.stable_headers, self.cache_slots);
         for cs in &self.ingress {
             self.process_slot(cs, slots.at(cs.slot), linkage, sm, scratch, &mut pkt)?;
             if pkt.meta.drop {
@@ -1129,23 +935,13 @@ fn exec_prim(
     match prim {
         FastPrim::NoAction => {}
         FastPrim::Set { dst, src } => {
-            let v = fast_read_operand(src, pkt, ctx, action, &mut scratch.loc)?;
-            dst.write(
-                pkt,
-                ctx,
-                truncate_to_width(v, dst.width()),
-                &mut scratch.loc,
-            )?;
+            let v = fast_read_operand(src, pkt, ctx, action)?;
+            dst.write(pkt, ctx, truncate_to_width(v, dst.width()))?;
         }
         FastPrim::Alu { op, dst, a, b } => {
-            let va = fast_read_operand(a, pkt, ctx, action, &mut scratch.loc)?;
-            let vb = fast_read_operand(b, pkt, ctx, action, &mut scratch.loc)?;
-            dst.write(
-                pkt,
-                ctx,
-                truncate_to_width(op.apply(va, vb), dst.width()),
-                &mut scratch.loc,
-            )?;
+            let va = fast_read_operand(a, pkt, ctx, action)?;
+            let vb = fast_read_operand(b, pkt, ctx, action)?;
+            dst.write(pkt, ctx, truncate_to_width(op.apply(va, vb), dst.width()))?;
         }
         FastPrim::Hash {
             dst,
@@ -1154,22 +950,17 @@ fn exec_prim(
         } => {
             scratch.hash.clear();
             for i in inputs {
-                let v = fast_read_operand(i, pkt, ctx, action, &mut scratch.loc)?;
+                let v = fast_read_operand(i, pkt, ctx, action)?;
                 scratch.hash.push(v);
             }
             let mut h = hash_values(&scratch.hash) as u128;
             if *modulo > 0 {
                 h %= *modulo as u128;
             }
-            dst.write(
-                pkt,
-                ctx,
-                truncate_to_width(h, dst.width()),
-                &mut scratch.loc,
-            )?;
+            dst.write(pkt, ctx, truncate_to_width(h, dst.width()))?;
         }
         FastPrim::Forward { port } => {
-            let v = fast_read_operand(port, pkt, ctx, action, &mut scratch.loc)?;
+            let v = fast_read_operand(port, pkt, ctx, action)?;
             pkt.meta.egress_port = Some(v as u16);
         }
         FastPrim::Drop => {
@@ -1177,11 +968,11 @@ fn exec_prim(
             outcome.dropped = true;
         }
         FastPrim::Mark { value } => {
-            let v = fast_read_operand(value, pkt, ctx, action, &mut scratch.loc)?;
+            let v = fast_read_operand(value, pkt, ctx, action)?;
             pkt.meta.mark = v;
         }
         FastPrim::MarkIfCounterOver { threshold } => {
-            let t = fast_read_operand(threshold, pkt, ctx, action, &mut scratch.loc)?;
+            let t = fast_read_operand(threshold, pkt, ctx, action)?;
             if ctx.entry_counter.unwrap_or(0) as u128 > t {
                 pkt.meta.mark = 1;
             }
@@ -1244,10 +1035,6 @@ fn exec_prim(
                 },
                 outcome,
             )?;
-            // Belt and braces: a slow primitive may rearrange the packet
-            // (header surgery). Under the `stable_headers` proof none can,
-            // but invalidating here keeps the cache locally sound.
-            scratch.loc.invalidate();
         }
     }
     Ok(())

@@ -20,9 +20,9 @@
 //! `full_compile` and CI; `incremental_compile` and the controller run the
 //! plan checks. Every code the crate emits is declared in [`codes`].
 //!
-//! The design-level facts the fast path uses are not derived here: they are
-//! a function of what the device latches, so `ipsa_core::facts::derive`
-//! computes them where the fast path is compiled.
+//! The parse elision the fast path uses is not derived here: it is a
+//! function of what the device latches, so `ipsa_core::facts::derive`
+//! computes it where the fast path is compiled.
 //!
 //! [`Program`]: rp4_lang::Program
 

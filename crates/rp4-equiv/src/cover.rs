@@ -10,8 +10,8 @@
 //! 1. **pruned** when it is provably infeasible — its constraints are
 //!    mutually contradictory, its validity assignment contradicts the
 //!    parser structure, or it runs through a matcher arm the dataflow facts
-//!    ([`facts::derive`], the ones the device's fast path compiles with)
-//!    prove unreachable;
+//!    ([`facts::derive`], whose parse elision the device's fast path
+//!    compiles with) prove unreachable;
 //! 2. **concretized** into a witness packet plus the minimal table-entry
 //!    setup that drives a real device down the same path (the *coverage
 //!    corpus*);

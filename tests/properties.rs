@@ -58,8 +58,17 @@ fn interleaved_ingress_on_populated_base() {
     assert_eq!(dev.pipeline.emitted, 5_000);
 }
 
+/// `PROPTEST_CASES` when set, else `default`: tier-1 runs stay short and CI
+/// can run the same property deeper.
+fn cases_or(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cases_or(12)))]
 
     /// Random /24 routes + random destinations: the switch agrees with the
     /// reference model packet-for-packet.
@@ -226,12 +235,11 @@ proptest! {
         }
     }
 
-    /// Fact-guided compilation is exact: with the derived `ProgramFacts`
-    /// driving the epoch compiler (parse elision, arm pruning, dead-store
-    /// no-ops, header-locator memoization), the fast path's outputs AND
-    /// statistics stay bit-identical to the interpreter — across every
-    /// bundled program and across a mid-stream in-situ update, after which
-    /// the device derives facts for the updated state.
+    /// Fact-guided compilation is exact: with parse elision from the
+    /// derived `ProgramFacts` driving the epoch compiler, the fast path's
+    /// outputs AND statistics stay bit-identical to the interpreter —
+    /// across every bundled program and across a mid-stream in-situ update,
+    /// after which the device derives facts for the updated state.
     #[test]
     fn fact_guided_fast_path_matches_interpreter(
         seed in 0u64..500,
