@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use ipsa_core::control::{ApplyReport, ControlMsg, Device};
+use ipsa_core::control::{design_diff, full_install_msgs, ApplyReport, ControlMsg, Device};
 use ipsa_core::table::TableEntry;
 use ipsa_core::template::CompiledDesign;
 use p4_lang::{build_hlir, parse_p4};
@@ -175,7 +175,7 @@ impl<D: Device> Rp4Flow<D> {
         compilation: Compilation,
         target: CompilerTarget,
     ) -> Result<(Self, ApplyReport), ControllerError> {
-        let msgs = ipsa_core::control::full_install_msgs(&compilation.design);
+        let msgs = full_install_msgs(&compilation.design);
         let report = device.apply(&msgs)?;
         let flow = Rp4Flow {
             device,
@@ -225,7 +225,7 @@ impl<D: Device> Rp4Flow<D> {
     /// structural diff (entries of untouched tables survive). Returns the
     /// apply report.
     pub fn rollback(&mut self, cp: &Checkpoint) -> Result<ApplyReport, ControllerError> {
-        let msgs = rp4c::design_diff(&self.design, &cp.design);
+        let msgs = design_diff(&self.design, &cp.design);
         let report = self.device.apply(&msgs)?;
         self.design = cp.design.clone();
         self.program = cp.program.clone();

@@ -11,7 +11,10 @@
 //! length, [`ControlMsg::payload_bytes`], is what the cost model prices.
 //! serde stays for the JSON artifacts (designs and plans on disk).
 
-use ipsa_netpkt::header::HeaderType;
+use std::collections::BTreeSet;
+
+use ipsa_netpkt::header::{HeaderType, ParserTransition};
+use ipsa_netpkt::linkage::HeaderLinkage;
 use ipsa_netpkt::packet::Packet;
 use serde::{Deserialize, Serialize};
 
@@ -157,50 +160,179 @@ impl ControlMsg {
     }
 }
 
-/// Expands a compiled design into the full message sequence that programs a
-/// blank IPSA device: headers (their implicit parsers carry the parse
-/// edges), metadata, actions, tables with their block allocations, TSP
-/// templates, crossbar connections, and the selector — bracketed by
-/// `Drain`/`Resume`.
+/// The message sequence that programs a blank IPSA device with `design`:
+/// the [`design_diff`] from an empty design with as many slots.
 pub fn full_install_msgs(design: &CompiledDesign) -> Vec<ControlMsg> {
+    design_diff(&CompiledDesign::empty("", design.templates.len()), design)
+}
+
+/// Computes the control messages that turn a device running `from` into
+/// one running `to` — the one design→message diff. Installs, in-situ
+/// updates and rollbacks (the paper's "reliable failback", Sec. 1) all send
+/// it.
+///
+/// Order: `Drain`; headers (register new and changed, relink, unregister
+/// removed, set the first header); new metadata (additive, devices ignore
+/// re-declarations); actions; destroy removed and changed tables; migrate
+/// moved tables; create new and changed tables; each slot's template and
+/// crossbar; the selector; `Resume`. Destroys and migrations come before
+/// creates, so a created table may take blocks another table vacates in the
+/// same batch.
+///
+/// A table with the same definition on both sides keeps its entries: it is
+/// untouched, or migrated when its blocks differ. Identical designs diff to
+/// an *empty* batch — no `Drain`/`Resume`, so a no-op update never pauses
+/// traffic.
+pub fn design_diff(from: &CompiledDesign, to: &CompiledDesign) -> Vec<ControlMsg> {
     let mut msgs = vec![ControlMsg::Drain];
-    for ty in design.linkage.iter() {
-        msgs.push(ControlMsg::RegisterHeader(ty.clone()));
+
+    let mut relinks = Vec::new();
+    for h in to.linkage.iter() {
+        let old = from.linkage.get(&h.name);
+        if old == Some(h) {
+            continue;
+        }
+        match old.and_then(|old| relink(old, h, &to.linkage)) {
+            Some(edits) => relinks.extend(edits),
+            // Register replaces wholesale, including its parser transitions.
+            None => msgs.push(ControlMsg::RegisterHeader(h.clone())),
+        }
     }
-    if let Some(first) = design.linkage.first() {
-        msgs.push(ControlMsg::SetFirstHeader(first.to_string()));
+    msgs.extend(relinks);
+    for h in from.linkage.iter() {
+        if to.linkage.get(&h.name).is_none() {
+            msgs.push(ControlMsg::UnregisterHeader(h.name.clone()));
+        }
     }
-    if !design.metadata.is_empty() {
-        msgs.push(ControlMsg::DefineMetadata(design.metadata.clone()));
+    if to.linkage.first() != from.linkage.first() {
+        if let Some(first) = to.linkage.first() {
+            msgs.push(ControlMsg::SetFirstHeader(first.to_string()));
+        }
     }
-    for a in design.actions.values() {
-        msgs.push(ControlMsg::DefineAction(a.clone()));
+
+    let new_meta: Vec<(String, usize)> = to
+        .metadata
+        .iter()
+        .filter(|(n, _)| !from.metadata.iter().any(|(m, _)| m == n))
+        .cloned()
+        .collect();
+    if !new_meta.is_empty() {
+        msgs.push(ControlMsg::DefineMetadata(new_meta));
     }
-    for def in design.tables.values() {
-        msgs.push(ControlMsg::CreateTable {
-            def: def.clone(),
-            blocks: design
-                .table_alloc
-                .get(&def.name)
-                .cloned()
-                .unwrap_or_default(),
-        });
+
+    for (name, def) in &to.actions {
+        if from.actions.get(name) != Some(def) {
+            msgs.push(ControlMsg::DefineAction(def.clone()));
+        }
     }
-    for (slot, t) in design.programmed() {
-        msgs.push(ControlMsg::WriteTemplate {
-            slot,
-            template: t.clone(),
-        });
+    for name in from.actions.keys() {
+        if !to.actions.contains_key(name) {
+            msgs.push(ControlMsg::RemoveAction(name.clone()));
+        }
     }
-    for (slot, blocks) in &design.crossbar {
-        msgs.push(ControlMsg::ConnectCrossbar {
-            slot: *slot,
-            blocks: blocks.clone(),
-        });
+
+    let blocks = |name: &str| to.table_alloc.get(name).cloned().unwrap_or_default();
+    for (name, def) in &from.tables {
+        if to.tables.get(name) != Some(def) {
+            msgs.push(ControlMsg::DestroyTable(name.clone()));
+        }
     }
-    msgs.push(ControlMsg::SetSelector(design.selector.clone()));
+    for (name, def) in &to.tables {
+        if from.tables.get(name) == Some(def)
+            && from.table_alloc.get(name) != to.table_alloc.get(name)
+        {
+            msgs.push(ControlMsg::MigrateTable {
+                table: name.clone(),
+                blocks: blocks(name),
+            });
+        }
+    }
+    for (name, def) in &to.tables {
+        if from.tables.get(name) != Some(def) {
+            msgs.push(ControlMsg::CreateTable {
+                def: def.clone(),
+                blocks: blocks(name),
+            });
+        }
+    }
+
+    for slot in 0..to.templates.len().max(from.templates.len()) {
+        let t = to.templates.get(slot).and_then(Option::as_ref);
+        if from.templates.get(slot).and_then(Option::as_ref) != t {
+            msgs.push(match t {
+                Some(t) => ControlMsg::WriteTemplate {
+                    slot,
+                    template: t.clone(),
+                },
+                None => ControlMsg::ClearSlot { slot },
+            });
+        }
+        let x = to.crossbar.get(&slot);
+        if from.crossbar.get(&slot) != x {
+            msgs.push(ControlMsg::ConnectCrossbar {
+                slot,
+                blocks: x.cloned().unwrap_or_default(),
+            });
+        }
+    }
+    if from.selector != to.selector {
+        msgs.push(ControlMsg::SetSelector(to.selector.clone()));
+    }
+    if msgs.len() == 1 {
+        return Vec::new();
+    }
     msgs.push(ControlMsg::Resume);
     msgs
+}
+
+/// The `UnlinkHeader`/`LinkHeader` edits that turn header `old` into `new`
+/// when only their parser transitions differ: unlink every successor one
+/// of whose edges `new` lacks (an unlink drops all edges to it), then link
+/// `new`'s missing edges in order (a link appends). `None` when replaying
+/// those edits would not give exactly `new`'s transitions in order, or a
+/// link would name a header `linkage` lacks — the header is then
+/// re-registered.
+fn relink(old: &HeaderType, new: &HeaderType, linkage: &HeaderLinkage) -> Option<Vec<ControlMsg>> {
+    let (Some(op), Some(np)) = (&old.parser, &new.parser) else {
+        return None;
+    };
+    let mut rest = old.clone();
+    rest.parser = new.parser.clone();
+    if op.selector_fields != np.selector_fields || rest != *new {
+        return None;
+    }
+    let gone: BTreeSet<&str> = op
+        .transitions
+        .iter()
+        .filter(|t| !np.transitions.contains(t))
+        .map(|t| t.next.as_str())
+        .collect();
+    let mut edits: Vec<ControlMsg> = gone
+        .iter()
+        .map(|next| ControlMsg::UnlinkHeader {
+            pre: new.name.clone(),
+            next: next.to_string(),
+        })
+        .collect();
+    let mut replay: Vec<&ParserTransition> = op
+        .transitions
+        .iter()
+        .filter(|t| !gone.contains(t.next.as_str()))
+        .collect();
+    for t in &np.transitions {
+        // A link whose tag is taken is a no-op or an error; either way it
+        // adds nothing, and the comparison below catches the difference.
+        if replay.iter().all(|r| r.tag != t.tag) {
+            linkage.get(&t.next)?;
+            replay.push(t);
+            edits.push(ControlMsg::LinkHeader {
+                pre: new.name.clone(),
+                next: t.next.clone(),
+                tag: t.tag,
+            });
+        }
+    }
+    replay.into_iter().eq(&np.transitions).then_some(edits)
 }
 
 /// Outcome of applying a batch of control messages.
@@ -319,6 +451,58 @@ mod tests {
         assert_eq!(a.bytes, 30);
         assert_eq!(a.entries_written, 5);
         assert!((a.load_us - 12.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn header_transitions_relink_when_links_replay_them() {
+        let mut from = CompiledDesign::empty("d", 1);
+        from.linkage = HeaderLinkage::standard();
+        let mut to = from.clone();
+        to.linkage.link("ipv4", "ipv6", 41).unwrap();
+        let link = ControlMsg::LinkHeader {
+            pre: "ipv4".into(),
+            next: "ipv6".into(),
+            tag: 41,
+        };
+        assert_eq!(
+            design_diff(&from, &to),
+            vec![ControlMsg::Drain, link, ControlMsg::Resume]
+        );
+        let unlink = ControlMsg::UnlinkHeader {
+            pre: "ipv4".into(),
+            next: "ipv6".into(),
+        };
+        assert_eq!(
+            design_diff(&to, &from),
+            vec![ControlMsg::Drain, unlink, ControlMsg::Resume]
+        );
+
+        // Links append, so a new order cannot be replayed; nor can an edge
+        // to a header the target does not register. Both re-register.
+        let mut reordered = from.linkage.get("ethernet").unwrap().clone();
+        reordered.parser.as_mut().unwrap().transitions.reverse();
+        let mut dangling = from.linkage.get("ipv4").unwrap().clone();
+        dangling
+            .parser
+            .as_mut()
+            .unwrap()
+            .transitions
+            .push(ParserTransition {
+                tag: 99,
+                next: "ghost".into(),
+            });
+        for ty in [reordered, dangling] {
+            let mut to = from.clone();
+            to.linkage.register(ty.clone());
+            assert_eq!(
+                design_diff(&from, &to),
+                vec![
+                    ControlMsg::Drain,
+                    ControlMsg::RegisterHeader(ty),
+                    ControlMsg::Resume
+                ]
+            );
+        }
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //!
 //! [`derive()`] is a pure function of what a device latches from the control
 //! plane — the selector, the per-slot templates and the registered actions.
-//! It proves two per-slot facts:
+//! It proves [`SlotFacts::elide_parse`]: headers whose `ensure_parsed` call
+//! at a slot is provably a no-op (an earlier slot in the same path already
+//! settled them, and no registered action can unsettle them). This is
+//! *parse elision*, the one fact the device's epoch compiler
+//! (`ipbm::fast::compile`) uses: it calls `derive` on its own state whenever
+//! it compiles, so elision can never be stale or missing, whichever control
+//! messages produced that state.
 //!
-//! - [`SlotFacts::elide_parse`]: headers whose `ensure_parsed` call at this
-//!   slot is provably a no-op (an earlier slot in the same path already
-//!   settled them, and no registered action can unsettle them). This is
-//!   *parse elision*, the one fact the device's epoch compiler
-//!   (`ipbm::fast::compile`) uses: it calls `derive` on its own state
-//!   whenever it compiles, so elision can never be stale or missing,
-//!   whichever control messages produced that state.
-//! - [`SlotFacts::unreachable_arms`]: matcher arms that can never be the
-//!   first true branch (shadowed by an earlier unconditional or identical
-//!   guard, or self-contradictory). `rp4-equiv` calls `derive` on a
-//!   [`CompiledDesign`] and uses them to prune worlds.
+//! [`unreachable_arms`] is a per-template analysis beside it: matcher arms
+//! that can never be the first true branch (shadowed by an earlier
+//! unconditional or identical guard, or self-contradictory). `rp4-equiv`
+//! calls it on the templates of a [`CompiledDesign`] to prune worlds.
 //!
 //! Parse elision is *exact* with respect to observable behavior — outputs
 //! and statistics are bit-identical with and without it (pinned by the
@@ -42,8 +41,6 @@ pub struct SlotFacts {
     /// proven no-op: every path to this slot already ran `ensure` for
     /// them, and no registered action can change their validity.
     pub elide_parse: Vec<String>,
-    /// Indices into the template's `branches` that can never be chosen.
-    pub unreachable_arms: Vec<usize>,
 }
 
 /// Everything [`derive()`] proves about one pipeline.
@@ -100,11 +97,10 @@ pub fn derive<'a>(
             .filter(|h| seen.contains(*h) && !killed.contains(*h))
             .cloned()
             .collect();
-        let unreachable = unreachable_arms(t.branches.iter().map(|b| &b.pred));
-        if !elide.is_empty() || !unreachable.is_empty() {
-            let sf = facts.slots.entry(t.stage_name.clone()).or_default();
-            sf.elide_parse = elide;
-            sf.unreachable_arms = unreachable;
+        if !elide.is_empty() {
+            facts
+                .slots
+                .insert(t.stage_name.clone(), SlotFacts { elide_parse: elide });
         }
         seen.extend(reqs.iter().cloned());
     }
@@ -131,12 +127,12 @@ fn killed_headers<'a>(actions: impl Iterator<Item = &'a ActionDef>) -> BTreeSet<
     out
 }
 
-/// Branch indices that can never be the first true predicate: shadowed by
-/// an earlier always-true or structurally identical guard, or themselves
-/// self-contradictory. Uses only decidable structural rules, so a proven
-/// index is unreachable for *every* packet and entry population.
-fn unreachable_arms<'a>(preds: impl Iterator<Item = &'a Predicate>) -> Vec<usize> {
-    let preds: Vec<&Predicate> = preds.collect();
+/// Indices into `t.branches` that can never be the first true predicate:
+/// shadowed by an earlier always-true or structurally identical guard, or
+/// themselves self-contradictory. Uses only decidable structural rules, so
+/// a proven index is unreachable for *every* packet and entry population.
+pub fn unreachable_arms(t: &TspTemplate) -> Vec<usize> {
+    let preds: Vec<&Predicate> = t.branches.iter().map(|b| &b.pred).collect();
     let mut out = Vec::new();
     let mut shadowed = false;
     for (j, p) in preds.iter().enumerate() {
@@ -173,7 +169,6 @@ mod tests {
             "fwd_mode".into(),
             SlotFacts {
                 elide_parse: vec!["ethernet".into()],
-                unreachable_arms: vec![2],
             },
         );
         assert!(f.slot("fwd_mode").is_some());
@@ -199,8 +194,12 @@ mod tests {
             Predicate::Not(Box::new(Predicate::IsValid("h".into()))),
         );
         // [cmp, cmp(dup), contradiction, True, cmp] → 1, 2, 4 unreachable.
-        let preds = [&cmp, &cmp, &contradiction, &p_true, &cmp];
-        assert_eq!(unreachable_arms(preds.iter().copied()), vec![1, 2, 4]);
+        let mut t = TspTemplate::passthrough("s");
+        t.branches = [cmp.clone(), cmp.clone(), contradiction, p_true, cmp]
+            .into_iter()
+            .map(|pred| MatcherBranch { pred, table: None })
+            .collect();
+        assert_eq!(unreachable_arms(&t), vec![1, 2, 4]);
     }
 
     /// Two active slots, `s0` then `s1`, both parsing ipv4.
@@ -232,7 +231,7 @@ mod tests {
         let f = of_design(&d);
         let s1 = f.slot("s1").expect("slot facts for s1");
         assert_eq!(s1.elide_parse, vec!["ipv4".to_string()]);
-        assert_eq!(s1.unreachable_arms, vec![1]);
+        assert_eq!(unreachable_arms(d.templates[1].as_ref().unwrap()), vec![1]);
         assert!(f.slot("s0").is_none());
 
         // The same stage name in both slots: its facts would hold for one

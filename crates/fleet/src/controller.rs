@@ -7,7 +7,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use ipbm::{IpbmConfig, IpbmSwitch, ShardedSwitch};
-use ipsa_core::control::{full_install_msgs, ControlMsg};
+use ipsa_core::control::{design_diff, full_install_msgs, ControlMsg};
 use ipsa_core::template::CompiledDesign;
 use ipsa_netpkt::packet::Packet;
 use rand::rngs::StdRng;
@@ -53,7 +53,7 @@ impl Default for FleetConfig {
 /// and `design` becomes the fleet's committed design on success).
 #[derive(Debug, Clone)]
 pub struct FleetUpdate {
-    /// The in-situ control batch (e.g. `rp4c::design_diff` of old → new).
+    /// The in-situ control batch (e.g. [`design_diff`] of old → new).
     pub msgs: Vec<ControlMsg>,
     /// The design the batch produces.
     pub design: CompiledDesign,
@@ -343,7 +343,7 @@ impl FleetController {
         };
         let from = self.devices[idx].shadow.clone();
         let msgs = match &from {
-            Some(shadow) => rp4c::design_diff(shadow, &target),
+            Some(shadow) => design_diff(shadow, &target),
             None => full_install_msgs(&target),
         };
         if !msgs.is_empty()

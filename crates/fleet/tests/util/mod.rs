@@ -6,12 +6,13 @@
 #![allow(dead_code)]
 
 use ipbm::{IpbmConfig, IpbmSwitch, ShardedSwitch};
+use ipsa_core::control::design_diff;
 use ipsa_fleet::{FleetConfig, FleetController, FleetUpdate};
 use ipsa_netpkt::packet::Packet;
 use rp4_equiv::{cover_design, replay_witness, PathWitness, ReplayMode, MAX_WORLDS};
 use rp4c::{
-    design_diff, full_compile, full_compile_with_faults, incremental_compile, CompilerTarget,
-    FaultInjection, LayoutAlgo, UpdateCmd,
+    full_compile, full_compile_with_faults, incremental_compile, CompilerTarget, FaultInjection,
+    LayoutAlgo, UpdateCmd,
 };
 use std::time::Duration;
 

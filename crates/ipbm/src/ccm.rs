@@ -8,6 +8,7 @@
 
 use ipsa_core::control::{full_install_msgs, ApplyReport, ControlMsg};
 use ipsa_core::error::CoreError;
+use ipsa_core::pipeline_cfg::SelectorConfig;
 use ipsa_core::timing::CostModel;
 use ipsa_netpkt::linkage::HeaderLinkage;
 
@@ -95,11 +96,14 @@ fn apply_one(
         }
         ControlMsg::LoadFullDesign(design) => {
             // Whole-design swap: wipe pipeline and storage, then install.
+            // The install diff leaves an all-bypass selector unsent, so the
+            // wipe resets it.
             let slots = pm.slot_count();
             for s in 0..slots {
                 pm.clear_slot(s)?;
                 pm.crossbar.disconnect(s);
             }
+            pm.set_selector(SelectorConfig::all_bypass(slots))?;
             for t in sm.table_names() {
                 sm.destroy_table(&t)?;
             }
@@ -531,9 +535,11 @@ mod tests {
                     slot: 3,
                     template: TspTemplate::passthrough("old"),
                 },
+                ControlMsg::SetSelector(SelectorConfig::split(8, 4, 0).unwrap()),
             ],
         )
         .unwrap();
+        assert!(pm.active_tsps() > 0);
         // Swap in an empty design.
         let design = ipsa_core::template::CompiledDesign::empty("fresh", 8);
         apply_msgs(
@@ -546,5 +552,8 @@ mod tests {
         .unwrap();
         assert!(pm.slots[3].template.is_none());
         assert!(sm.table_names().is_empty());
+        // The empty design's install diff sends no selector; the wipe
+        // resets it to all-bypass.
+        assert_eq!(pm.active_tsps(), 0);
     }
 }

@@ -733,7 +733,8 @@ mod tests {
         let mut sw = IpbmSwitch::new(IpbmConfig::default());
         let design = CompiledDesign::empty("blank", 32);
         let r = sw.install(&design).unwrap();
-        assert!(r.msgs > 0);
+        // A blank device already runs the empty design: nothing to send.
+        assert_eq!(r.msgs, 0);
         assert_eq!(sw.report().active_tsps, 0);
     }
 

@@ -9,9 +9,8 @@
 //!
 //! 1. **pruned** when it is provably infeasible — its constraints are
 //!    mutually contradictory, its validity assignment contradicts the
-//!    parser structure, or it runs through a matcher arm the dataflow facts
-//!    ([`facts::derive`], whose parse elision the device's fast path
-//!    compiles with) prove unreachable;
+//!    parser structure, or it runs through a matcher arm
+//!    [`facts::unreachable_arms`] proves unreachable;
 //! 2. **concretized** into a witness packet plus the minimal table-entry
 //!    setup that drives a real device down the same path (the *coverage
 //!    corpus*);
@@ -24,10 +23,10 @@
 //! RP4404 plan WCET regression (the [`check_plan_wcet`] gate `apply_plan`
 //! runs unless `--force`).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
-use ipsa_core::facts::{self, ProgramFacts};
+use ipsa_core::facts;
 use ipsa_core::template::CompiledDesign;
 use ipsa_core::timing::{PacketCostModel, PathWork};
 use rp4_lang::ast::Program;
@@ -130,22 +129,46 @@ fn parsed_headers(decisions: &[(Key, usize)]) -> usize {
         .count()
 }
 
-/// Does the world run through a matcher arm the dataflow analysis proved
-/// unreachable? Facts are per merged-slot (`stage_name` keyed), exactly as
-/// the fast-path compiler consumes them.
-fn fact_pruned(facts: &ProgramFacts, arms: &[(String, usize)]) -> bool {
+/// [`facts::unreachable_arms`] of every template the selector activates,
+/// keyed by `stage_name` (merged stages keep their joined `a+b` name). A
+/// name programmed into more than one active slot gets none: a world's
+/// arms name the stage, not the slot.
+fn unreachable_by_stage(design: &CompiledDesign) -> BTreeMap<&str, Vec<usize>> {
+    let mut order = design.selector.ingress_slots();
+    order.extend(design.selector.egress_slots());
+    let mut out = BTreeMap::new();
+    let mut repeated = BTreeSet::new();
+    for t in order
+        .into_iter()
+        .filter_map(|s| design.templates.get(s).and_then(Option::as_ref))
+    {
+        if out
+            .insert(t.stage_name.as_str(), facts::unreachable_arms(t))
+            .is_some()
+        {
+            repeated.insert(t.stage_name.as_str());
+        }
+    }
+    for name in repeated {
+        out.remove(name);
+    }
+    out
+}
+
+/// Does the world run through a matcher arm proven unreachable?
+fn fact_pruned(unreachable: &BTreeMap<&str, Vec<usize>>, arms: &[(String, usize)]) -> bool {
     arms.iter().any(|(stage, arm)| {
-        facts
-            .slot(stage)
-            .is_some_and(|sf| sf.unreachable_arms.contains(arm))
+        unreachable
+            .get(stage.as_str())
+            .is_some_and(|u| u.contains(arm))
     })
 }
 
 /// Enumerates every execution path of `design` within `max_paths` worlds
 /// ([`MAX_WORLDS`] unless a caller asks for fewer), prunes the infeasible
-/// ones (including worlds through arms the design's [`facts::derive`]
-/// facts prove unreachable), concretizes a witness per feasible path, and
-/// prices each path.
+/// ones (including worlds through arms [`facts::unreachable_arms`] proves
+/// unreachable), concretizes a witness per feasible path, and prices each
+/// path.
 ///
 /// `spans` (the checked source program, when available) anchors the
 /// diagnostics to source items.
@@ -154,11 +177,7 @@ pub fn cover_design(
     spans: Option<&Program>,
     max_paths: usize,
 ) -> Coverage {
-    let facts = facts::derive(
-        &design.selector,
-        |i| design.templates.get(i).and_then(Option::as_ref),
-        &design.actions,
-    );
+    let unreachable = unreachable_by_stage(design);
     let cost = PacketCostModel::software();
     let mut cov = Coverage::default();
     // (table, tag) pairs some feasible path selects — the complement is
@@ -174,7 +193,7 @@ pub fn cover_design(
         |mut run, oracle| {
             let decisions = oracle.decisions();
             run.work.parsed_headers = parsed_headers(&decisions);
-            if fact_pruned(&facts, &run.arms) {
+            if fact_pruned(&unreachable, &run.arms) {
                 cov.pruned_infeasible += 1;
                 return ControlFlow::Continue(());
             }

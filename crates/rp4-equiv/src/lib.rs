@@ -14,8 +14,9 @@
 //! **Translation validation (RP42xx).** The rP4 toolchain compiles checked
 //! programs to TSP templates (`rp4c::full_compile`), patches live designs
 //! incrementally (`incremental_compile`), and rolls trials back via
-//! structural diffs (`design_diff`). Each transformation is a place for a
-//! miscompile to hide.
+//! structural diffs (`ipsa_core::control::design_diff`, which also produces
+//! every update's and install's messages). Each transformation is a place
+//! for a miscompile to hide.
 //!
 //! * [`check_program_design`] and [`check_design_design`] compare the final
 //!   header, metadata and egress state of the two sides of a seam in every

@@ -3,9 +3,10 @@
 //! behave identically (seam b), and the failback diff pair must round-trip
 //! the design to an exact identity (seam c).
 
+use ipsa_core::control::design_diff;
 use rp4_equiv::{check_design_design, check_roundtrip};
 use rp4_lang::{Program, Severity};
-use rp4c::{design_diff, full_compile, incremental_compile, CompilerTarget, UpdateCmd};
+use rp4c::{full_compile, incremental_compile, CompilerTarget, UpdateCmd};
 
 const BASE: &str = include_str!("../../../programs/base.rp4");
 const ECMP: &str = include_str!("../../../programs/ecmp.rp4");

@@ -18,12 +18,12 @@
 //! 4. re-places templates with minimal rewrites ([`LayoutAlgo::Dp`] optimal
 //!    vs [`LayoutAlgo::Greedy`] fast — the paper's stated tradeoff);
 //! 5. allocates pool blocks for new tables and recycles removed ones;
-//! 6. emits the `Drain … Resume` control-message diff.
+//! 6. returns the [`design_diff`] from the base design to the new one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use ipsa_core::control::ControlMsg;
+use ipsa_core::control::{design_diff, ControlMsg};
 use ipsa_core::template::{CompiledDesign, FuncDef, TspTemplate};
 use rp4_lang::ast::Program;
 use rp4_lang::semantic::check;
@@ -120,7 +120,8 @@ pub struct UpdateStats {
 /// Result of an incremental compile.
 #[derive(Debug, Clone)]
 pub struct UpdatePlan {
-    /// Control-message diff (`Drain … Resume`).
+    /// [`design_diff`] from the base design to `design`: `Drain … Resume`,
+    /// or empty when the commands change nothing.
     pub msgs: Vec<ControlMsg>,
     /// The updated device configuration.
     pub design: CompiledDesign,
@@ -285,30 +286,23 @@ fn load_snippet(
     graph: &mut StageGraph,
     new_templates: &mut BTreeMap<String, TspTemplate>,
     new_stage_is_egress: &mut BTreeMap<String, bool>,
-    header_msgs: &mut Vec<ControlMsg>,
     loaded_funcs: &mut Vec<(String, Vec<String>)>,
 ) -> Result<Vec<String>, CompileError> {
     let env = check(snippet, Some(program)).map_err(CompileError::Semantic)?;
     // Lower and register new actions.
     for a in &snippet.actions {
         let def = lower_action(&env, a)?;
-        header_msgs.push(ControlMsg::DefineAction(def.clone()));
         design.actions.insert(a.name.clone(), def);
     }
     // New metadata fields.
-    let mut new_meta = Vec::new();
     for st in &snippet.structs {
         if st.alias.is_some() {
             for (n, b) in &st.fields {
                 if !design.metadata.iter().any(|(m, _)| m == n) {
                     design.metadata.push((n.clone(), *b));
-                    new_meta.push((n.clone(), *b));
                 }
             }
         }
-    }
-    if !new_meta.is_empty() {
-        header_msgs.push(ControlMsg::DefineMetadata(new_meta));
     }
     // New headers register into the linkage.
     for h in &snippet.headers {
@@ -316,7 +310,6 @@ fn load_snippet(
         one.headers.push(h.clone());
         let tmp = build_linkage(&one);
         let ty = tmp.get(&h.name).expect("registered").clone();
-        header_msgs.push(ControlMsg::RegisterHeader(ty.clone()));
         design.linkage.register(ty);
     }
     // New tables.
@@ -366,7 +359,6 @@ pub fn incremental_compile(
     let mut graph = StageGraph::from_design(&design);
     let mut new_templates: BTreeMap<String, TspTemplate> = BTreeMap::new();
     let mut new_stage_is_egress: BTreeMap<String, bool> = BTreeMap::new();
-    let mut header_msgs: Vec<ControlMsg> = Vec::new();
     let mut loaded_funcs: Vec<(String, Vec<String>)> = Vec::new();
     let mut unloaded_stage_nodes: BTreeSet<String> = BTreeSet::new();
 
@@ -382,7 +374,6 @@ pub fn incremental_compile(
                     &mut graph,
                     &mut new_templates,
                     &mut new_stage_is_egress,
-                    &mut header_msgs,
                     &mut loaded_funcs,
                 )?;
             }
@@ -431,7 +422,6 @@ pub fn incremental_compile(
                     &mut graph,
                     &mut new_templates,
                     &mut new_stage_is_egress,
-                    &mut header_msgs,
                     &mut loaded_funcs,
                 )?;
                 if let Some(first) = stage_names.first() {
@@ -455,21 +445,12 @@ pub fn incremental_compile(
                     .linkage
                     .link(pre, next, *tag)
                     .map_err(|e| CompileError::Design(e.to_string()))?;
-                header_msgs.push(ControlMsg::LinkHeader {
-                    pre: pre.clone(),
-                    next: next.clone(),
-                    tag: *tag,
-                });
             }
             UpdateCmd::UnlinkHeader { pre, next } => {
                 design
                     .linkage
                     .unlink(pre, next)
                     .map_err(|e| CompileError::Design(e.to_string()))?;
-                header_msgs.push(ControlMsg::UnlinkHeader {
-                    pre: pre.clone(),
-                    next: next.clone(),
-                });
             }
             UpdateCmd::Unload { func } => {
                 let removed = program.remove_func(func);
@@ -582,17 +563,11 @@ pub fn incremental_compile(
         design.tables.remove(t);
     }
     // Tables whose *definition* changed (e.g. a function update resized
-    // one) must be recreated on the device: drop their allocation so they
-    // repack as new, and destroy them before the create below.
-    let changed_tables: Vec<String> = live_tables
-        .iter()
-        .filter(|t| design.table_alloc.contains_key(*t))
-        .filter(|t| base_design.tables.get(*t) != design.tables.get(*t))
-        .cloned()
-        .collect();
-    for t in &changed_tables {
-        design.table_alloc.remove(t);
-    }
+    // one) are recreated on the device: drop their allocation so they
+    // repack as new.
+    design
+        .table_alloc
+        .retain(|t, _| base_design.tables.get(t) == design.tables.get(t));
     let new_tables: Vec<String> = live_tables
         .iter()
         .filter(|t| !design.table_alloc.contains_key(*t))
@@ -632,7 +607,7 @@ pub fn incremental_compile(
     // Clustered crossbars force *table migration* when an existing stage
     // moved to a slot in a different cluster (Sec. 2.4: "the associated
     // tables also need to be migrated to another cluster").
-    let mut migrations: Vec<(String, Vec<usize>)> = Vec::new();
+    let mut migrated_tables: Vec<String> = Vec::new();
     if target.clusters > 1 {
         let mut used_now: BTreeSet<usize> =
             design.table_alloc.values().flatten().copied().collect();
@@ -666,42 +641,13 @@ pub fn incremental_compile(
             for b in &blocks {
                 used_now.remove(b);
             }
-            design.table_alloc.insert(tname.clone(), dest.clone());
-            migrations.push((tname, dest));
+            design.table_alloc.insert(tname.clone(), dest);
+            migrated_tables.push(tname);
         }
     }
 
-    // ---- Phase 5: assemble the message diff. ----
-    let mut msgs = vec![ControlMsg::Drain];
-    msgs.extend(header_msgs);
-    for t in &changed_tables {
-        msgs.push(ControlMsg::DestroyTable(t.clone()));
-    }
-    for tname in &new_tables {
-        msgs.push(ControlMsg::CreateTable {
-            def: design.tables[tname].clone(),
-            blocks: design.table_alloc[tname].clone(),
-        });
-    }
-    for (table, blocks) in &migrations {
-        msgs.push(ControlMsg::MigrateTable {
-            table: table.clone(),
-            blocks: blocks.clone(),
-        });
-    }
-    for &slot in &placement.writes {
-        msgs.push(ControlMsg::WriteTemplate {
-            slot,
-            template: placement.templates[slot].clone().expect("written slot"),
-        });
-    }
-    for &slot in &placement.clears {
-        msgs.push(ControlMsg::ClearSlot { slot });
-    }
-    // Crossbar: compute the final per-slot connectivity and emit a
-    // reconnect for every slot whose reachable set changed — including
-    // slots whose template is untouched but whose table moved blocks
-    // (recreation at a new size, migration).
+    // ---- Phase 5: per-slot crossbar connectivity, including slots whose
+    // template is untouched but whose table moved blocks. ----
     let mut new_crossbar: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (slot, t) in placement
         .templates
@@ -720,23 +666,6 @@ pub fn incremental_compile(
         blocks.dedup();
         new_crossbar.insert(slot, blocks);
     }
-    for slot in 0..placement.templates.len() {
-        let old = base_design.crossbar.get(&slot);
-        let new = new_crossbar.get(&slot);
-        if old != new {
-            msgs.push(ControlMsg::ConnectCrossbar {
-                slot,
-                blocks: new.cloned().unwrap_or_default(),
-            });
-        }
-    }
-    if placement.selector != design.selector {
-        msgs.push(ControlMsg::SetSelector(placement.selector.clone()));
-    }
-    for t in &removed_tables {
-        msgs.push(ControlMsg::DestroyTable(t.clone()));
-    }
-    msgs.push(ControlMsg::Resume);
 
     // ---- Phase 6: updated design + program bookkeeping. ----
     let stats = UpdateStats {
@@ -744,9 +673,9 @@ pub fn incremental_compile(
         template_writes: placement.writes.len(),
         slot_clears: placement.clears.len(),
         placement_us,
-        new_tables: new_tables.clone(),
-        removed_tables: removed_tables.clone(),
-        migrated_tables: migrations.iter().map(|(t, _)| t.clone()).collect(),
+        new_tables,
+        removed_tables,
+        migrated_tables,
     };
     design.templates = placement.templates;
     design.selector = placement.selector;
@@ -772,13 +701,13 @@ pub fn incremental_compile(
         f.stages.retain(|s| placed.contains(s));
     }
     design.funcs.retain(|f| !f.stages.is_empty());
-    // The crossbar config computed during message assembly is final.
     design.crossbar = new_crossbar;
     design
         .validate()
         .map_err(|e| CompileError::Design(e.to_string()))?;
     let apis = generate_apis(&design);
-    // Self-check: the assembled message diff must keep every structural
+    let msgs = design_diff(base_design, &design);
+    // Self-check: the message diff must keep every structural
     // update inside its drain window (RP4105). A failure here is a compiler
     // bug, but surfacing it as a diagnostic beats corrupting a live device.
     let unsafe_msgs: Vec<_> = rp4_dfa::verify_msgs(&msgs)

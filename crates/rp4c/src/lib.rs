@@ -12,8 +12,9 @@
 //!   slot layout ([`layout`]), and JSON template output;
 //! - [`incremental::incremental_compile`] — rp4bc's in-situ path: `load` /
 //!   `add_link` / `del_link` / `link_header` / `unload` commands compiled
-//!   into a minimal `Drain … Resume` control-message diff, with the DP vs
-//!   greedy placement tradeoff the paper describes;
+//!   into an updated design and its `Drain … Resume` control-message diff
+//!   ([`ipsa_core::control::design_diff`]), with the DP vs greedy placement
+//!   tradeoff the paper describes;
 //! - [`api_gen`] — runtime table-API descriptors for the controller.
 
 #![warn(missing_docs)]
@@ -21,7 +22,6 @@
 pub mod api_gen;
 pub mod backend;
 pub mod depgraph;
-pub mod diff;
 pub mod frontend;
 pub mod incremental;
 pub mod layout;
@@ -36,7 +36,6 @@ pub use backend::{
 };
 #[doc(hidden)]
 pub use backend::{full_compile_with_faults, FaultInjection};
-pub use diff::{design_diff, diff_size};
 pub use frontend::rp4fc;
 pub use incremental::{incremental_compile, UpdateCmd, UpdatePlan, UpdateStats};
 pub use layout::LayoutAlgo;

@@ -182,3 +182,162 @@ fn rollback_across_multiple_updates() {
         .iter()
         .any(|(p, _, n)| p == "ipv6" && n == "srh"));
 }
+
+/// A forwarding program on a 4-slot, 2-cluster target: `fib_s`@0 and
+/// `nexthop_s`@1 reach blocks 0..39, the egress `dmac_s`@3 reaches 40..79.
+const CLUSTERED_BASE: &str = r#"
+    headers {
+        header ethernet {
+            bit<48> dst_addr; bit<48> src_addr; bit<16> ethertype;
+            implicit parser(ethertype) { 0x0800: ipv4; }
+        }
+        header ipv4 {
+            bit<8> ttl; bit<8> protocol; bit<16> hdr_checksum;
+            bit<32> src_addr; bit<32> dst_addr;
+            implicit parser(protocol) { }
+        }
+    }
+    structs { struct m_t { bit<16> nexthop; bit<16> bd; } meta; }
+    action set_nh(bit<16> nh) { meta.nexthop = nh; }
+    action set_bd(bit<16> bd) { meta.bd = bd; }
+    action fwd(bit<16> port) { forward(port); }
+    table fib { key = { ipv4.dst_addr: lpm; } actions = { set_nh; } size = 512; }
+    table nexthop { key = { meta.nexthop: exact; } actions = { set_bd; } size = 128; }
+    table dmac { key = { meta.bd: exact; } actions = { fwd; } size = 128; }
+    control rP4_Ingress {
+        stage fib_s {
+            parser { ipv4; }
+            matcher { if (ipv4.isValid()) fib.apply(); else; }
+            executor { 1: set_nh; default: NoAction; }
+        }
+        stage nexthop_s {
+            parser { }
+            matcher { nexthop.apply(); }
+            executor { 1: set_bd; default: NoAction; }
+        }
+    }
+    control rP4_Egress {
+        stage dmac_s {
+            parser { ethernet; }
+            matcher { dmac.apply(); }
+            executor { 1: fwd; default: NoAction; }
+        }
+    }
+    user_funcs {
+        func base { fib_s nexthop_s dmac_s }
+        ingress_entry: fib_s;
+        egress_entry: dmac_s;
+    }
+"#;
+
+/// The clustered target, its compiled base, a switch running it with one
+/// `nexthop` entry, and the update commands that insert `extra_s` before
+/// `nexthop_s` — pushing `nexthop_s` into slot 2, the other cluster, so its
+/// table migrates.
+fn clustered_trial() -> (
+    CompilerTarget,
+    rp4c::Compilation,
+    IpbmSwitch,
+    Vec<rp4c::UpdateCmd>,
+) {
+    let mut target = CompilerTarget::ipbm();
+    target.slots = 4;
+    target.clusters = 2;
+    let base = full_compile(&rp4_lang::parse(CLUSTERED_BASE).unwrap(), &target).unwrap();
+    let mut sw = IpbmSwitch::new(IpbmConfig {
+        slots: target.slots,
+        sram_blocks: target.sram_blocks,
+        tcam_blocks: target.tcam_blocks,
+        clusters: target.clusters,
+        ..IpbmConfig::default()
+    });
+    sw.install(&base.design).unwrap();
+    sw.apply(&[ControlMsg::AddEntry {
+        table: "nexthop".into(),
+        entry: TableEntry::exact(
+            vec![7],
+            ActionCall {
+                action: "set_bd".into(),
+                args: vec![3],
+            },
+        ),
+    }])
+    .unwrap();
+    let snippet = rp4_lang::parse(
+        r#"
+        table extra { key = { ipv4.src_addr: exact; } actions = { set_nh; } size = 64; }
+        stage extra_s {
+            parser { ipv4; }
+            matcher { extra.apply(); }
+            executor { 1: set_nh; default: NoAction; }
+        }
+    "#,
+    )
+    .unwrap();
+    let link = |from: &str, to: &str| rp4c::UpdateCmd::AddLink {
+        from: from.into(),
+        to: to.into(),
+    };
+    let cmds = vec![
+        rp4c::UpdateCmd::Load {
+            snippet,
+            func: "extra".into(),
+        },
+        link("fib_s", "extra_s"),
+        link("extra_s", "nexthop_s"),
+        rp4c::UpdateCmd::DelLink {
+            from: "fib_s".into(),
+            to: "nexthop_s".into(),
+        },
+    ];
+    (target, base, sw, cmds)
+}
+
+/// Failback after a cluster migration migrates the table back: its entries
+/// survive both directions.
+#[test]
+fn failback_migrates_a_moved_table_back() {
+    let (target, base, mut sw, cmds) = clustered_trial();
+    let plan =
+        incremental_compile(&base.design, &base.program, &cmds, &target, LayoutAlgo::Dp).unwrap();
+    assert!(plan.stats.migrated_tables.contains(&"nexthop".to_string()));
+    sw.apply(&plan.msgs).unwrap();
+    assert_eq!(sw.sm.table("nexthop").unwrap().table.len(), 1);
+
+    let back = rp4::core::control::design_diff(&plan.design, &base.design);
+    assert!(back
+        .iter()
+        .any(|m| matches!(m, ControlMsg::MigrateTable { table, .. } if table == "nexthop")));
+    sw.apply(&back).unwrap();
+    let nexthop = sw.sm.table("nexthop").unwrap();
+    assert_eq!(nexthop.table.len(), 1, "the entry survives the failback");
+    assert_eq!(nexthop.map.block_ids, base.design.table_alloc["nexthop"]);
+}
+
+/// An update that removes `dmac_s` while `nexthop` migrates into the
+/// cluster `dmac` frees: `nexthop` may land on `dmac`'s blocks. Failback
+/// must migrate `nexthop` off them before it recreates `dmac` there.
+#[test]
+fn failback_recreates_a_table_on_blocks_a_migrated_table_vacates() {
+    let (target, base, mut sw, mut cmds) = clustered_trial();
+    cmds.push(rp4c::UpdateCmd::DelLink {
+        from: rp4c::incremental::EGRESS_ENTRY.into(),
+        to: "dmac_s".into(),
+    });
+    let plan =
+        incremental_compile(&base.design, &base.program, &cmds, &target, LayoutAlgo::Dp).unwrap();
+    let dmac_blocks = &base.design.table_alloc["dmac"];
+    assert!(
+        plan.design.table_alloc["nexthop"]
+            .iter()
+            .any(|b| dmac_blocks.contains(b)),
+        "nexthop migrated onto dmac's freed blocks: {:?}",
+        plan.design.table_alloc
+    );
+    sw.apply(&plan.msgs).unwrap();
+
+    let back = rp4::core::control::design_diff(&plan.design, &base.design);
+    sw.apply(&back).unwrap();
+    assert_eq!(sw.sm.table("nexthop").unwrap().table.len(), 1);
+    assert_eq!(&sw.sm.table("dmac").unwrap().map.block_ids, dmac_blocks);
+}

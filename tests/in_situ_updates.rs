@@ -309,3 +309,98 @@ fn sequential_updates_zero_loss() {
     assert!(funcs.contains(&"srv6"), "{funcs:?}");
     assert!(funcs.contains(&"probe"), "{funcs:?}");
 }
+
+/// A forwarding program whose `nexthop_s` stage a snippet can replace.
+const FIB_NEXTHOP_DMAC: &str = r#"
+    headers {
+        header ethernet {
+            bit<48> dst_addr; bit<48> src_addr; bit<16> ethertype;
+            implicit parser(ethertype) { 0x0800: ipv4; }
+        }
+        header ipv4 {
+            bit<8> ttl; bit<8> protocol; bit<16> hdr_checksum;
+            bit<32> src_addr; bit<32> dst_addr;
+            implicit parser(protocol) { }
+        }
+    }
+    structs { struct m_t { bit<16> nexthop; bit<16> bd; } meta; }
+    action set_nh(bit<16> nh) { meta.nexthop = nh; }
+    action set_bd(bit<16> bd) { meta.bd = bd; }
+    action fwd(bit<16> port) { forward(port); }
+    table fib { key = { ipv4.dst_addr: lpm; } actions = { set_nh; } size = 512; }
+    table nexthop { key = { meta.nexthop: exact; } actions = { set_bd; } size = 128; }
+    table dmac { key = { meta.bd: exact; } actions = { fwd; } size = 128; }
+    control rP4_Ingress {
+        stage fib_s {
+            parser { ipv4; }
+            matcher { if (ipv4.isValid()) fib.apply(); else; }
+            executor { 1: set_nh; default: NoAction; }
+        }
+        stage nexthop_s {
+            parser { }
+            matcher { nexthop.apply(); }
+            executor { 1: set_bd; default: NoAction; }
+        }
+    }
+    control rP4_Egress {
+        stage dmac_s {
+            parser { ethernet; }
+            matcher { dmac.apply(); }
+            executor { 1: fwd; default: NoAction; }
+        }
+    }
+    user_funcs {
+        func base { fib_s nexthop_s dmac_s }
+        ingress_entry: fib_s;
+        egress_entry: dmac_s;
+    }
+"#;
+
+/// A new table packed into the blocks of the table it replaces: the update
+/// must destroy the old table before it creates the new one, or the device
+/// refuses the create and rolls the whole update back.
+#[test]
+fn replacement_table_reuses_freed_blocks() {
+    let target = CompilerTarget::ipbm();
+    let base = full_compile(&rp4_lang::parse(FIB_NEXTHOP_DMAC).unwrap(), &target).unwrap();
+    let nexthop_blocks = base.design.table_alloc["nexthop"].clone();
+    let snippet = rp4_lang::parse(
+        r#"
+        table nh2 { key = { meta.nexthop: exact; } actions = { set_bd; } size = 128; }
+        stage nh2_s {
+            parser { }
+            matcher { nh2.apply(); }
+            executor { 1: set_bd; default: NoAction; }
+        }
+    "#,
+    )
+    .unwrap();
+    let plan = incremental_compile(
+        &base.design,
+        &base.program,
+        &[
+            rp4c::UpdateCmd::Load {
+                snippet,
+                func: "nh2".into(),
+            },
+            rp4c::UpdateCmd::AddLink {
+                from: "fib_s".into(),
+                to: "nh2_s".into(),
+            },
+            rp4c::UpdateCmd::DelLink {
+                from: "fib_s".into(),
+                to: "nexthop_s".into(),
+            },
+        ],
+        &target,
+        LayoutAlgo::Dp,
+    )
+    .unwrap();
+    assert_eq!(plan.design.table_alloc["nh2"], nexthop_blocks);
+
+    let mut sw = IpbmSwitch::new(IpbmConfig::default());
+    sw.install(&base.design).unwrap();
+    sw.apply(&plan.msgs).unwrap();
+    assert!(sw.sm.table("nexthop").is_none());
+    assert_eq!(sw.sm.table("nh2").unwrap().map.block_ids, nexthop_blocks);
+}

@@ -216,7 +216,7 @@ proptest! {
 
         for from in &designs {
             for to in &designs {
-                let fwd = rp4c::design_diff(from, to);
+                let fwd = rp4::core::control::design_diff(from, to);
                 let moved = rp4::rp4_equiv::apply::apply_msgs(from, &fwd);
                 let diags = rp4::rp4_equiv::apply::roundtrip_diags(to, &moved);
                 prop_assert!(
@@ -224,7 +224,7 @@ proptest! {
                     "diff does not land on the target design: {:?}",
                     diags.iter().map(|d| d.header()).collect::<Vec<_>>()
                 );
-                let back = rp4c::design_diff(to, from);
+                let back = rp4::core::control::design_diff(to, from);
                 let diags = rp4::rp4_equiv::check_roundtrip(from, &fwd, &back);
                 prop_assert!(
                     diags.is_empty(),
