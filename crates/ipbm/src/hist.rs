@@ -1,13 +1,13 @@
 //! Log2-bucketed latency histogram for per-batch shard busy time.
 //!
-//! PR 9's autoscaler folds per-shard busy nanoseconds at every epoch
-//! barrier, but only a scalar p50/p99 proxy ever left the device — a fleet
-//! health checker comparing devices needs the *distribution*, cheaply and
-//! mergeably. [`BusyHistogram`] is the standard trick: 64 power-of-two
-//! buckets (bucket `i` counts samples with `floor(log2(ns)) == i`, bucket 0
-//! also holding zero), fixed memory, O(1) record, lossless merge, and
-//! quantile estimates good to a factor of two — exactly the resolution a
-//! "device X is 8x slower than its peers" decision needs.
+//! The sharded runtime folds per-shard busy nanoseconds at every epoch
+//! barrier; a fleet health checker comparing devices needs their
+//! *distribution*, cheaply and mergeably. [`BusyHistogram`] is the standard
+//! trick: 64 power-of-two buckets (bucket `i` counts samples with
+//! `floor(log2(ns)) == i`, bucket 0 also holding zero), fixed memory, O(1)
+//! record, lossless merge, and quantile estimates good to a factor of two —
+//! exactly the resolution a "device X is 8x slower than its peers" decision
+//! needs.
 
 use serde::Serialize;
 

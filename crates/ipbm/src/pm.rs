@@ -20,43 +20,6 @@ use crate::fast::{self, CompiledPath, EvalScratch};
 use crate::sm::StorageModule;
 use crate::tsp::TspSlot;
 
-/// Number of TM traffic classes.
-pub const TM_CLASSES: usize = 3;
-/// Strict-priority class (served before everything else on a port).
-pub const TM_CLASS_PRIORITY: usize = 0;
-/// Assured-forwarding class (WDRR, heavy weight).
-pub const TM_CLASS_ASSURED: usize = 1;
-/// Best-effort class (WDRR, light weight) — the default.
-pub const TM_CLASS_BEST_EFFORT: usize = 2;
-
-/// Metadata field overriding DSCP classification: 0 = unset, `1..=3`
-/// select classes priority/assured/best-effort.
-pub const TM_CLASS_META: &str = "tm_class";
-
-/// WDRR byte quantum refilled per visit, scaled by the class weight.
-const TM_WDRR_QUANTUM: usize = 1600;
-/// WDRR weights per class; the priority class bypasses WDRR entirely.
-const TM_WDRR_WEIGHTS: [usize; TM_CLASSES] = [0, 3, 1];
-
-/// Per-class Traffic-Manager counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ClassStats {
-    /// Packets enqueued in this class.
-    pub enqueued: u64,
-    /// Packets tail-dropped on this class's full queue.
-    pub tail_drops: u64,
-    /// Packets handed to the egress pipeline from this class.
-    pub dequeued: u64,
-}
-
-impl ClassStats {
-    fn fold(&mut self, d: &ClassStats) {
-        self.enqueued += d.enqueued;
-        self.tail_drops += d.tail_drops;
-        self.dequeued += d.dequeued;
-    }
-}
-
 /// Traffic-Manager statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TmStats {
@@ -64,36 +27,13 @@ pub struct TmStats {
     pub enqueued: u64,
     /// Packets dropped for lacking a forwarding decision.
     pub no_route_drops: u64,
-    /// Packets tail-dropped on a full per-port per-class queue.
+    /// Packets tail-dropped on a full per-port queue.
     pub tail_drops: u64,
-    /// High-water mark of total per-port occupancy.
+    /// High-water mark of per-port occupancy.
     pub max_depth: usize,
-    /// Strict-priority class counters.
-    pub priority: ClassStats,
-    /// Assured-forwarding class counters.
-    pub assured: ClassStats,
-    /// Best-effort class counters.
-    pub best_effort: ClassStats,
 }
 
 impl TmStats {
-    /// Counters for one class, indexed by `TM_CLASS_*`.
-    pub fn class(&self, class: usize) -> &ClassStats {
-        match class {
-            TM_CLASS_PRIORITY => &self.priority,
-            TM_CLASS_ASSURED => &self.assured,
-            _ => &self.best_effort,
-        }
-    }
-
-    fn class_mut(&mut self, class: usize) -> &mut ClassStats {
-        match class {
-            TM_CLASS_PRIORITY => &mut self.priority,
-            TM_CLASS_ASSURED => &mut self.assured,
-            _ => &mut self.best_effort,
-        }
-    }
-
     /// Additively folds another TM's counters into this one (`max_depth`
     /// takes the max); used when shard-local deltas are merged at an
     /// epoch barrier.
@@ -102,88 +42,22 @@ impl TmStats {
         self.no_route_drops += d.no_route_drops;
         self.tail_drops += d.tail_drops;
         self.max_depth = self.max_depth.max(d.max_depth);
-        self.priority.fold(&d.priority);
-        self.assured.fold(&d.assured);
-        self.best_effort.fold(&d.best_effort);
     }
 }
 
-/// Default per-port per-class queue capacity (packets).
+/// Default per-port queue capacity (packets).
 pub const TM_QUEUE_CAPACITY: usize = 64;
 
-/// One egress port's class queues plus WDRR service state.
-#[derive(Debug)]
-struct PortQueues {
-    cls: [VecDeque<Packet>; TM_CLASSES],
-    deficit: [usize; TM_CLASSES],
-    wdrr_next: usize,
-}
-
-impl PortQueues {
-    fn new() -> Self {
-        PortQueues {
-            cls: Default::default(),
-            deficit: [0; TM_CLASSES],
-            wdrr_next: TM_CLASS_ASSURED,
-        }
-    }
-
-    fn depth(&self) -> usize {
-        self.cls.iter().map(|q| q.len()).sum()
-    }
-
-    fn next_class(c: usize) -> usize {
-        if c + 1 >= TM_CLASSES {
-            TM_CLASS_ASSURED
-        } else {
-            c + 1
-        }
-    }
-
-    /// Strict priority for class 0, byte-based weighted deficit round
-    /// robin across the rest.
-    fn dequeue_one(&mut self) -> Option<(usize, Packet)> {
-        if let Some(p) = self.cls[TM_CLASS_PRIORITY].pop_front() {
-            return Some((TM_CLASS_PRIORITY, p));
-        }
-        if self.cls[TM_CLASS_ASSURED..].iter().all(|q| q.is_empty()) {
-            return None;
-        }
-        loop {
-            let c = self.wdrr_next;
-            let Some(head) = self.cls[c].front() else {
-                // An idle class forfeits its accumulated deficit
-                // (classic DRR), so bursts cannot bank service credit.
-                self.deficit[c] = 0;
-                self.wdrr_next = Self::next_class(c);
-                continue;
-            };
-            let need = head.data.len().max(1);
-            if self.deficit[c] >= need {
-                self.deficit[c] -= need;
-                let p = self.cls[c].pop_front().expect("head exists");
-                return Some((c, p));
-            }
-            self.deficit[c] += TM_WDRR_QUANTUM * TM_WDRR_WEIGHTS[c];
-            self.wdrr_next = Self::next_class(c);
-        }
-    }
-}
-
-/// The Traffic Manager: per-egress-port, per-class queues between the
-/// ingress and egress pipelines — the queueing point the selector splits
-/// the elastic pipeline around (Fig. 1). Ports are drained round-robin;
-/// within a port, class 0 is strict priority and the remaining classes
-/// share the residual bandwidth by weighted deficit round robin. Each
-/// class queue tail-drops independently on overflow, so priority traffic
-/// is never dropped because best-effort filled the port.
+/// The Traffic Manager: one FIFO per egress port between the ingress and
+/// egress pipelines — the hand-off point the selector splits the elastic
+/// pipeline around (Fig. 1). Ports are drained round-robin; a full port
+/// queue tail-drops. Run-to-completion enqueues a packet and dequeues that
+/// same packet, so on the device's paths the TM never holds two.
 #[derive(Debug)]
 pub struct TrafficManager {
-    ports: Vec<PortQueues>,
+    ports: Vec<VecDeque<Packet>>,
     capacity: usize,
     rr_next: usize,
-    /// Interned id of the [`TM_CLASS_META`] metadata override field.
-    class_id: u32,
     /// Statistics.
     pub stats: TmStats,
 }
@@ -195,10 +69,10 @@ impl Default for TrafficManager {
 }
 
 impl TrafficManager {
-    /// TM with `ports` output queue groups of `capacity` packets per
-    /// class. Zero ports or zero capacity is a configuration error — a
-    /// TM that silently rewrote either would queue packets somewhere the
-    /// caller never provisioned.
+    /// TM with `ports` output queues of `capacity` packets each. Zero
+    /// ports or zero capacity is a configuration error — a TM that
+    /// silently rewrote either would queue packets somewhere the caller
+    /// never provisioned.
     pub fn new(ports: usize, capacity: usize) -> Result<Self, CoreError> {
         if ports == 0 {
             return Err(CoreError::Config(
@@ -211,105 +85,54 @@ impl TrafficManager {
             ));
         }
         Ok(TrafficManager {
-            ports: (0..ports).map(|_| PortQueues::new()).collect(),
+            ports: (0..ports).map(|_| VecDeque::new()).collect(),
             capacity,
             rr_next: 0,
-            class_id: ipsa_netpkt::intern::meta_id(TM_CLASS_META),
             stats: TmStats::default(),
         })
     }
 
-    /// The traffic class a packet is queued under: an explicit
-    /// [`TM_CLASS_META`] metadata override when set (1..=3 map to
-    /// classes 0..=2), else the DSCP codepoint read from the raw frame
-    /// (EF and the CS5+ pool map to priority, AF to assured), else
-    /// best-effort for non-IP traffic.
-    pub fn traffic_class(&self, pkt: &Packet) -> usize {
-        let v = pkt.meta.get_user(self.class_id);
-        if v != 0 {
-            return ((v as usize).saturating_sub(1)).min(TM_CLASS_BEST_EFFORT);
-        }
-        match dscp_of(&pkt.data) {
-            Some(dscp) if dscp >= 40 => TM_CLASS_PRIORITY,
-            Some(dscp) if dscp >= 8 => TM_CLASS_ASSURED,
-            _ => TM_CLASS_BEST_EFFORT,
-        }
-    }
-
     /// Accepts a packet from the ingress pipeline. Packets without an
     /// egress decision are dropped here (counted), as a real TM would;
-    /// packets to a full class queue are tail-dropped.
+    /// packets to a full port queue are tail-dropped.
     pub fn enqueue(&mut self, pkt: Packet) {
         let Some(port) = pkt.meta.egress_port else {
             self.stats.no_route_drops += 1;
             return;
         };
-        let class = self.traffic_class(&pkt);
         let idx = (port as usize) % self.ports.len();
-        let pq = &mut self.ports[idx];
-        if pq.cls[class].len() >= self.capacity {
+        let q = &mut self.ports[idx];
+        if q.len() >= self.capacity {
             self.stats.tail_drops += 1;
-            self.stats.class_mut(class).tail_drops += 1;
             return;
         }
-        pq.cls[class].push_back(pkt);
+        q.push_back(pkt);
         self.stats.enqueued += 1;
-        self.stats.class_mut(class).enqueued += 1;
-        let depth = pq.depth();
-        self.stats.max_depth = self.stats.max_depth.max(depth);
+        self.stats.max_depth = self.stats.max_depth.max(q.len());
     }
 
-    /// Hands the next packet to the egress pipeline: round-robin across
-    /// the non-empty ports, strict-priority + WDRR within the port.
+    /// Hands the next packet to the egress pipeline, round-robin across
+    /// the non-empty ports.
     pub fn dequeue(&mut self) -> Option<Packet> {
         let n = self.ports.len();
         for i in 0..n {
             let idx = (self.rr_next + i) % n;
-            if self.ports[idx].depth() == 0 {
-                continue;
+            if let Some(pkt) = self.ports[idx].pop_front() {
+                self.rr_next = (idx + 1) % n;
+                return Some(pkt);
             }
-            self.rr_next = (idx + 1) % n;
-            let (class, pkt) = self.ports[idx].dequeue_one().expect("port has backlog");
-            self.stats.class_mut(class).dequeued += 1;
-            return Some(pkt);
         }
         None
     }
 
     /// Total queued packet count.
     pub fn depth(&self) -> usize {
-        self.ports.iter().map(|p| p.depth()).sum()
+        self.ports.iter().map(VecDeque::len).sum()
     }
 
-    /// Queued packets on one port (all classes).
+    /// Queued packets on one port.
     pub fn port_depth(&self, port: u16) -> usize {
-        self.ports
-            .get((port as usize) % self.ports.len())
-            .map(|p| p.depth())
-            .unwrap_or(0)
-    }
-
-    /// Queued packets in one class of one port.
-    pub fn class_depth(&self, port: u16, class: usize) -> usize {
-        self.ports
-            .get((port as usize) % self.ports.len())
-            .and_then(|p| p.cls.get(class))
-            .map(|q| q.len())
-            .unwrap_or(0)
-    }
-}
-
-/// The DSCP codepoint of a raw Ethernet frame, when it carries IPv4 or
-/// IPv6 (`None` for anything else or truncated headers).
-fn dscp_of(data: &[u8]) -> Option<u8> {
-    let ethertype = u16::from_be_bytes([*data.get(12)?, *data.get(13)?]);
-    match ethertype {
-        0x0800 => Some(*data.get(15)? >> 2),
-        0x86DD => {
-            let tc = ((*data.get(14)? & 0x0F) << 4) | (*data.get(15)? >> 4);
-            Some(tc >> 2)
-        }
-        _ => None,
+        self.ports[(port as usize) % self.ports.len()].len()
     }
 }
 
@@ -860,101 +683,6 @@ mod tests {
             PipelineModule::new(8, 0, Crossbar::full()),
             Err(CoreError::Config(_))
         ));
-    }
-
-    fn classed_packet(port: u16, dscp: u8, len: usize) -> Packet {
-        let mut p = ipv4_udp_packet(&Ipv4UdpSpec {
-            dst_ip: 0x0a010101,
-            dscp,
-            payload: vec![0xAB; len],
-            ..Default::default()
-        });
-        p.meta.egress_port = Some(port);
-        p
-    }
-
-    #[test]
-    fn tm_classifies_by_dscp_and_metadata_override() {
-        let tm = TrafficManager::new(2, 4).unwrap();
-        assert_eq!(
-            tm.traffic_class(&classed_packet(0, 46, 16)),
-            TM_CLASS_PRIORITY,
-            "EF is strict priority"
-        );
-        assert_eq!(
-            tm.traffic_class(&classed_packet(0, 10, 16)),
-            TM_CLASS_ASSURED,
-            "AF11 is assured"
-        );
-        assert_eq!(
-            tm.traffic_class(&classed_packet(0, 0, 16)),
-            TM_CLASS_BEST_EFFORT
-        );
-        // Non-IP frames fall to best-effort.
-        let mut raw = Packet::new(vec![0u8; 4], 0);
-        raw.meta.egress_port = Some(0);
-        assert_eq!(tm.traffic_class(&raw), TM_CLASS_BEST_EFFORT);
-        // Explicit metadata override beats DSCP: 1..=3 select a class.
-        let id = ipsa_netpkt::intern::meta_id(TM_CLASS_META);
-        let mut p = classed_packet(0, 0, 16);
-        p.meta.set_user(id, 1);
-        assert_eq!(tm.traffic_class(&p), TM_CLASS_PRIORITY);
-        p.meta.set_user(id, 2);
-        assert_eq!(tm.traffic_class(&p), TM_CLASS_ASSURED);
-        p.meta.set_user(id, 99);
-        assert_eq!(tm.traffic_class(&p), TM_CLASS_BEST_EFFORT);
-    }
-
-    #[test]
-    fn tm_strict_priority_never_drops_before_best_effort() {
-        let mut tm = TrafficManager::new(1, 2).unwrap();
-        // Flood best-effort far past its own queue; priority still has
-        // dedicated headroom and is served first.
-        for _ in 0..6 {
-            tm.enqueue(classed_packet(0, 0, 16));
-        }
-        for _ in 0..2 {
-            tm.enqueue(classed_packet(0, 46, 16));
-        }
-        assert_eq!(tm.stats.best_effort.tail_drops, 4);
-        assert_eq!(tm.stats.priority.tail_drops, 0);
-        let drained: Vec<Packet> = std::iter::from_fn(|| tm.dequeue()).collect();
-        let order: Vec<usize> = drained.iter().map(|p| tm.traffic_class(p)).collect();
-        assert_eq!(
-            order,
-            vec![
-                TM_CLASS_PRIORITY,
-                TM_CLASS_PRIORITY,
-                TM_CLASS_BEST_EFFORT,
-                TM_CLASS_BEST_EFFORT
-            ]
-        );
-        assert_eq!(tm.stats.priority.dequeued, 2);
-        assert_eq!(tm.stats.best_effort.dequeued, 2);
-    }
-
-    #[test]
-    fn tm_wdrr_shares_residual_bandwidth_by_weight() {
-        let mut tm = TrafficManager::new(1, 64).unwrap();
-        // Equal-size backlogs in assured and best-effort; WDRR at 3:1
-        // should serve ~3 assured bytes per best-effort byte while both
-        // stay backlogged. Drain a full DRR cycle (one quantum round per
-        // class) so the burst granularity of deficit service averages out.
-        for _ in 0..64 {
-            tm.enqueue(classed_packet(0, 10, 100));
-            tm.enqueue(classed_packet(0, 0, 100));
-        }
-        let mut served = [0usize; TM_CLASSES];
-        for _ in 0..44 {
-            let p = tm.dequeue().unwrap();
-            served[tm.traffic_class(&p)] += 1;
-        }
-        assert_eq!(served[TM_CLASS_PRIORITY], 0);
-        let (af, be) = (served[TM_CLASS_ASSURED], served[TM_CLASS_BEST_EFFORT]);
-        assert!(
-            af >= 2 * be && be > 0,
-            "assured should get ~3x the service of best-effort, got {af}:{be}"
-        );
     }
 
     #[test]

@@ -383,10 +383,6 @@ pub struct FaultPlan {
     /// Fail the M-th message (0-based) of every control batch, exercising
     /// the transactional rollback at an arbitrary batch position.
     pub fail_msg_at: Option<usize>,
-    /// Inflate shard N's reported busy time by the given nanoseconds at
-    /// barrier K — a deterministic load spike that drives the autoscaler's
-    /// grow/shrink decisions without depending on real timing.
-    pub spike_busy: Vec<(usize, u64, u64)>,
 }
 
 impl FaultPlan {
@@ -401,13 +397,5 @@ impl FaultPlan {
             .iter()
             .find(|(s, b, _)| *s == shard && *b == barrier)
             .map(|(_, _, d)| *d)
-    }
-
-    /// Injected busy-time spike (ns) for `shard` at `barrier`, if any.
-    pub fn spike_directive(&self, shard: usize, barrier: u64) -> Option<u64> {
-        self.spike_busy
-            .iter()
-            .find(|(s, b, _)| *s == shard && *b == barrier)
-            .map(|(_, _, ns)| *ns)
     }
 }

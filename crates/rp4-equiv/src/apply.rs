@@ -10,16 +10,39 @@
 
 use ipsa_core::control::ControlMsg;
 use ipsa_core::template::CompiledDesign;
+use ipsa_netpkt::linkage::LinkageError;
 use rp4_lang::Diagnostic;
 
 use crate::codes;
 
+/// A header edit the model refuses, exactly as the device's CCM refuses it
+/// (and rolls the whole batch back).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ApplyError {
+    /// Position of the refused message in its batch.
+    pub index: usize,
+    /// Why the header registry refused it.
+    pub error: LinkageError,
+}
+
+impl std::fmt::Display for ApplyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "message {} is refused: {}", self.index, self.error)
+    }
+}
+
 /// Applies a batch of control messages to a design value, returning the
 /// resulting design. Unknown-reference edits (e.g. removing an action that
-/// does not exist) are no-ops, as on the device.
-pub fn apply_msgs(base: &CompiledDesign, msgs: &[ControlMsg]) -> CompiledDesign {
+/// does not exist) are no-ops, as on the device; a `SetFirstHeader`,
+/// `LinkHeader` or `UnlinkHeader` the header registry refuses fails the
+/// batch, as it does on the device.
+pub fn apply_msgs(
+    base: &CompiledDesign,
+    msgs: &[ControlMsg],
+) -> Result<CompiledDesign, ApplyError> {
     let mut d = base.clone();
-    for m in msgs {
+    for (index, m) in msgs.iter().enumerate() {
+        let refused = |error| ApplyError { index, error };
         match m {
             ControlMsg::Drain | ControlMsg::Resume => {}
             ControlMsg::WriteTemplate { slot, template } => {
@@ -42,17 +65,15 @@ pub fn apply_msgs(base: &CompiledDesign, msgs: &[ControlMsg]) -> CompiledDesign 
                 }
             }
             ControlMsg::RegisterHeader(ty) => d.linkage.register(ty.clone()),
-            ControlMsg::SetFirstHeader(n) => {
-                let _ = d.linkage.set_first(n);
-            }
+            ControlMsg::SetFirstHeader(n) => d.linkage.set_first(n).map_err(refused)?,
             ControlMsg::UnregisterHeader(n) => {
                 d.linkage.unregister(n);
             }
             ControlMsg::LinkHeader { pre, next, tag } => {
-                let _ = d.linkage.link(pre, next, *tag);
+                d.linkage.link(pre, next, *tag).map_err(refused)?;
             }
             ControlMsg::UnlinkHeader { pre, next } => {
-                let _ = d.linkage.unlink(pre, next);
+                d.linkage.unlink(pre, next).map_err(refused)?;
             }
             ControlMsg::DefineAction(a) => {
                 d.actions.insert(a.name.clone(), a.clone());
@@ -87,7 +108,7 @@ pub fn apply_msgs(base: &CompiledDesign, msgs: &[ControlMsg]) -> CompiledDesign 
             ControlMsg::LoadFullDesign(nd) => d = (**nd).clone(),
         }
     }
-    d
+    Ok(d)
 }
 
 /// RP4206 diagnostics for a failed round-trip: compares a restored design

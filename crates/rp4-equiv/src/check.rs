@@ -504,16 +504,29 @@ fn table_mismatch(env: &Env, t: &rp4_lang::ast::TableDecl, d: &TableDef) -> Opti
 }
 
 /// Round-trip failback check: applying `forward` then `backward` to `a`
-/// must land back on a design behaviorally identical to `a`. See
-/// [`crate::apply`].
+/// must land back on a design behaviorally identical to `a`. A message
+/// either batch would have refused is one RP4206 error naming the batch
+/// and the message. See [`crate::apply`].
 pub fn check_roundtrip(
     a: &CompiledDesign,
     forward: &[ipsa_core::control::ControlMsg],
     backward: &[ipsa_core::control::ControlMsg],
 ) -> Vec<Diagnostic> {
-    let b = crate::apply::apply_msgs(a, forward);
-    let back = crate::apply::apply_msgs(&b, backward);
-    crate::apply::roundtrip_diags(a, &back)
+    let refused = |batch: &str, e: crate::apply::ApplyError| {
+        vec![Diagnostic::error(
+            codes::FAILBACK_NONIDENTITY,
+            format!("failback round-trip cannot run: {batch} batch {e}"),
+        )
+        .with_note("a device refuses this batch and rolls it back")]
+    };
+    let b = match crate::apply::apply_msgs(a, forward) {
+        Ok(b) => b,
+        Err(e) => return refused("forward", e),
+    };
+    match crate::apply::apply_msgs(&b, backward) {
+        Ok(back) => crate::apply::roundtrip_diags(a, &back),
+        Err(e) => refused("backward", e),
+    }
 }
 
 #[cfg(test)]

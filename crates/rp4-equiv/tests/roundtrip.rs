@@ -163,3 +163,29 @@ fn identity_diff_round_trips() {
     let diags = check_roundtrip(&base.design, &fwd, &fwd);
     assert!(errors(&diags).is_empty());
 }
+
+/// A batch a device would refuse (a link to a header it never registered)
+/// cannot be a failback, even when the design it leaves behind looks
+/// untouched.
+#[test]
+fn refused_header_link_is_a_roundtrip_error() {
+    use ipsa_core::control::ControlMsg;
+
+    let base = full_compile(&rp4_lang::parse(BASE).unwrap(), &CompilerTarget::ipbm()).unwrap();
+    let forward = [
+        ControlMsg::Drain,
+        ControlMsg::LinkHeader {
+            pre: "ipv4".into(),
+            next: "nosuch".into(),
+            tag: 1,
+        },
+        ControlMsg::Resume,
+    ];
+    let errs = errors(&check_roundtrip(&base.design, &forward, &[]));
+    assert_eq!(errs.len(), 1, "{errs:#?}");
+    assert!(errs[0].contains("RP4206"), "{errs:#?}");
+    assert!(
+        errs[0].contains("forward batch message 1"),
+        "names the batch and the message: {errs:#?}"
+    );
+}

@@ -131,7 +131,7 @@ fn header_changes_diffed() {
         m,
         ControlMsg::UnlinkHeader { pre, next } if pre == "ipv4" && next == "ipv4"
     )));
-    let restored = rp4_equiv::apply::apply_msgs(&plan.design, &back);
+    let restored = rp4_equiv::apply::apply_msgs(&plan.design, &back).expect("relink applies");
     assert_eq!(restored.linkage, design.linkage);
     assert_eq!(restored.linkage.edges(), design.linkage.edges());
 }

@@ -202,6 +202,10 @@ fn killed_worker_is_quarantined_and_respawned() {
             let out2 = sw.run_batch();
             assert_eq!(sw.live_shards(), shards, "recovered to full strength");
             assert_eq!(sw.supervisor_stats().respawned, 1);
+            // The replacement took the victim's slot: the shard count and
+            // the per-shard busy accounting keep their constructed size.
+            assert_eq!(sw.shards(), shards);
+            assert_eq!(sw.shard_busy_ns().len(), shards);
             assert_eq!(out2.len() as u64, injected2, "no loss after recovery");
             assert_flow_order(&[&out, &out2]);
         }
@@ -390,88 +394,6 @@ fn poisoned_compile_falls_back_then_recompiles() {
         assert!(sw.on_compiled_path(), "next epoch compiles and publishes");
         assert_eq!(out2.len() as u64, injected2);
         assert_flow_order(&[&out, &out2]);
-    }
-}
-
-/// Chaos under elastic scaling: synthetic overload grows the live set
-/// while the fault plan kills a worker mid-scale-up (the seeded victim
-/// ranges over all four slots, including ones that exist only once
-/// grown). The supervisor quarantines and respawns inside the overload
-/// phase, the live set never leaves the configured bounds, and once the
-/// overload clears the autoscaler shrinks back to `min_shards` with no
-/// further loss — conservation (`emitted + lost == injected`) holds over
-/// the whole run.
-#[test]
-fn autoscaler_survives_kill_during_scale_up() {
-    use rp4::ipbm::AutoscaleConfig;
-    for seed in seeds() {
-        let mut sw = ready_switch(2);
-        sw.set_autoscale(Some(AutoscaleConfig {
-            min_shards: 1,
-            max_shards: 4,
-            // ms-scale thresholds: only injected spikes read as overload.
-            grow_busy_ns: 50_000_000,
-            shrink_busy_ns: 10_000_000,
-            grow_after: 1,
-            shrink_after: 2,
-        }))
-        .unwrap();
-        let warmed = sw.report().pipeline.emitted;
-
-        let flows = 8u32;
-        let victim = (seed as usize) % 4;
-        let mut injected = 0u64;
-        let mut outs: Vec<Vec<Packet>> = Vec::new();
-        for k in 0u32..5 {
-            let b = sw.barriers();
-            let mut plan = FaultPlan::default();
-            for barrier in b + 1..=b + 4 {
-                for shard in 0..4 {
-                    plan.spike_busy.push((shard, barrier, 200_000_000));
-                }
-            }
-            if k == 2 {
-                // Race the kill against the scale-up: by now the target
-                // is max_shards and the grown slots carry traffic.
-                plan.kill_at_barrier.push((victim, b + 1));
-                plan.kill_at_barrier.push((victim, b + 2));
-            }
-            sw.set_fault_plan(plan);
-            injected += inject_sequenced(&mut sw, flows, 4, 1 + k * 4);
-            outs.push(sw.run_batch());
-            let live = sw.live_shards();
-            assert!((1..=4).contains(&live), "live {live} out of bounds");
-        }
-        assert!(sw.supervisor_stats().quarantined >= 1, "seed {seed}");
-        assert!(sw.supervisor_stats().respawned >= 1, "seed {seed}");
-        assert_eq!(sw.live_shards(), 4, "overload holds the live set at max");
-        let lost_under_fire = sw.supervisor_stats().lost_packets;
-
-        // Overload clears: shrink back to min, hitlessly.
-        sw.set_fault_plan(FaultPlan::default());
-        for k in 0u32..10 {
-            injected += inject_sequenced(&mut sw, flows, 2, 100 + k * 2);
-            outs.push(sw.run_batch());
-        }
-        assert_eq!(sw.live_shards(), 1, "idle traffic shrinks back to min");
-        assert_eq!(
-            sw.supervisor_stats().lost_packets,
-            lost_under_fire,
-            "elastic shrink must lose nothing"
-        );
-        let s = sw.scale_stats();
-        assert!(s.grows >= 2 && s.shrinks >= 3 && s.retired >= 3, "{s:?}");
-
-        let emitted: u64 = outs.iter().map(|o| o.len() as u64).sum();
-        assert_eq!(
-            emitted + sw.supervisor_stats().lost_packets,
-            injected,
-            "conservation across grow/kill/respawn/shrink (seed {seed})"
-        );
-        assert_eq!(sw.report().pipeline.emitted - warmed, emitted);
-        let refs: Vec<&[Packet]> = outs.iter().map(|o| o.as_slice()).collect();
-        assert_flow_order(&refs);
-        assert!(sw.on_compiled_path());
     }
 }
 

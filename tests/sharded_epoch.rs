@@ -225,169 +225,6 @@ fn torture_schedule(seed: u64, shards: usize) {
     assert_eq!(rep.tm.tail_drops, 0);
 }
 
-/// Regression (elastic indexing sweep): grow → crash of a *grown* shard →
-/// quarantine/rehash → respawn → shrink, with packet conservation
-/// throughout. The collect/fold path once sized its per-barrier reply
-/// buffer and `busy_ns` table from the construction-time shard count, so
-/// a reply or stat delta from a shard index created by an elastic grow
-/// (here shard 3 of a switch built with 2) indexed past the end.
-#[test]
-fn elastic_grow_crash_respawn_shrink_conserves_packets() {
-    use ipbm::{AutoscaleConfig, FaultPlan};
-
-    let mut sw = ShardedSwitch::new(IpbmConfig::default(), 2);
-    sw.apply(&l3_msgs(1)).unwrap();
-    sw.set_autoscale(Some(AutoscaleConfig {
-        min_shards: 1,
-        max_shards: 4,
-        // Thresholds far above any real debug-build per-batch busy time:
-        // only injected spikes read as overload, unspiked batches as idle.
-        grow_busy_ns: 50_000_000,
-        shrink_busy_ns: 10_000_000,
-        grow_after: 1,
-        shrink_after: 2,
-    }))
-    .unwrap();
-
-    let flows = 8u32;
-    let mut next_seq = 0u64;
-    let mut injected = 0u64;
-    let mut emitted: Vec<u64> = Vec::new();
-    let mut flow_last: HashMap<u32, u64> = HashMap::new();
-    let absorb = |out: Vec<ipsa_netpkt::packet::Packet>,
-                  emitted: &mut Vec<u64>,
-                  flow_last: &mut HashMap<u32, u64>| {
-        for p in out {
-            let seq = seq_of(&p);
-            let flow = u32::from_be_bytes(p.data[30..34].try_into().unwrap()) - 0x0a01_0000;
-            if let Some(prev) = flow_last.insert(flow, seq) {
-                assert!(prev < seq, "flow {flow}: seq {seq} after {prev}");
-            }
-            emitted.push(seq);
-        }
-    };
-    // Every phase below recomputes the barrier base per batch: a dirty
-    // republish adds its own quiesce barrier before the batch's, so the
-    // directives cover a small window instead of one exact coordinate.
-    let batch = |sw: &mut ShardedSwitch,
-                 plan: &dyn Fn(u64) -> FaultPlan,
-                 next_seq: &mut u64,
-                 injected: &mut u64,
-                 emitted: &mut Vec<u64>,
-                 flow_last: &mut HashMap<u32, u64>| {
-        sw.set_fault_plan(plan(sw.barriers()));
-        for _ in 0..8 {
-            let flow = (*next_seq % flows as u64) as u32;
-            sw.inject(seq_packet(flow, *next_seq));
-            *next_seq += 1;
-            *injected += 1;
-        }
-        let out = sw.run_batch();
-        absorb(out, emitted, flow_last);
-    };
-    let spikes = |b: u64| {
-        let mut plan = FaultPlan::default();
-        for barrier in b + 1..=b + 4 {
-            for shard in 0..4 {
-                plan.spike_busy.push((shard, barrier, 200_000_000));
-            }
-        }
-        plan
-    };
-
-    // Phase 1: sustained synthetic overload grows 2 -> 4 live shards.
-    let mut rounds = 0;
-    while sw.live_shards() < 4 {
-        batch(
-            &mut sw,
-            &spikes,
-            &mut next_seq,
-            &mut injected,
-            &mut emitted,
-            &mut flow_last,
-        );
-        rounds += 1;
-        assert!(rounds <= 8, "autoscaler failed to reach max_shards");
-    }
-    assert_eq!(sw.shard_busy_ns().len(), 4, "busy table covers grown slots");
-
-    // Phase 2: crash shard 3 — a slot that exists only because of the
-    // grow — while spikes keep the target at 4, so the slot respawns.
-    batch(
-        &mut sw,
-        &|b| {
-            let mut plan = spikes(b);
-            plan.kill_at_barrier.push((3, b + 1));
-            plan.kill_at_barrier.push((3, b + 2));
-            plan
-        },
-        &mut next_seq,
-        &mut injected,
-        &mut emitted,
-        &mut flow_last,
-    );
-    // Two more spiked batches: the target stays at 4, so the next epoch
-    // publish respawns the quarantined slot.
-    for _ in 0..2 {
-        batch(
-            &mut sw,
-            &spikes,
-            &mut next_seq,
-            &mut injected,
-            &mut emitted,
-            &mut flow_last,
-        );
-    }
-    let faults = sw.take_shard_faults();
-    assert!(
-        faults.iter().any(|f| f.shard == 3),
-        "expected a logged fault for the grown shard, got {faults:?}"
-    );
-    assert!(
-        sw.supervisor_stats().respawned >= 1,
-        "crashed slot respawned"
-    );
-    assert_eq!(sw.live_shards(), 4, "back at full strength after respawn");
-
-    // Phase 3: idle traffic shrinks back to min_shards hitlessly.
-    rounds = 0;
-    while sw.live_shards() > 1 {
-        batch(
-            &mut sw,
-            &|_| FaultPlan::default(),
-            &mut next_seq,
-            &mut injected,
-            &mut emitted,
-            &mut flow_last,
-        );
-        rounds += 1;
-        assert!(rounds <= 16, "autoscaler failed to shrink back to min");
-    }
-    absorb(sw.run_batch(), &mut emitted, &mut flow_last);
-    assert_eq!(sw.pending(), 0, "device fully drained");
-
-    // Conservation across the whole grow/crash/respawn/shrink lifecycle:
-    // the crash may lose that batch's in-flight packets (charged to the
-    // supervisor), everything else is emitted exactly once, in flow order.
-    let lost = sw.supervisor_stats().lost_packets;
-    assert_eq!(
-        emitted.len() as u64 + lost,
-        injected,
-        "lost+emitted != injected"
-    );
-    let mut seqs = emitted.clone();
-    seqs.sort_unstable();
-    seqs.dedup();
-    assert_eq!(seqs.len(), emitted.len(), "duplicated sequence numbers");
-
-    let s = sw.scale_stats();
-    assert!(s.grows >= 2, "grows: {s:?}");
-    assert!(s.shrinks >= 3 && s.retired >= 3, "shrinks: {s:?}");
-    assert_eq!(sw.shard_busy_ns().len(), 4, "slots park, never shrink");
-    assert_eq!(sw.report().pipeline.emitted, emitted.len() as u64);
-    assert!(sw.on_compiled_path());
-}
-
 #[test]
 fn epoch_barrier_survives_seeded_schedules() {
     for seed in 0..12 {
