@@ -2,7 +2,8 @@
 //!
 //! ECMP member selection and hash-kind table lookups must behave identically
 //! across runs and machines, so we use a fixed FNV-1a implementation rather
-//! than `std`'s randomized hasher.
+//! than `std`'s randomized hasher. [`FoldHasher`] is the exact-match index's
+//! hasher: fixed too, and built for speed on the packet path.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -31,6 +32,68 @@ fn finalize(mut h: u64) -> u64 {
     h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^ (h >> 31)
 }
+
+/// Multiplier of [`FoldHasher`]'s fold (the 64-bit golden ratio, odd).
+const FOLD_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The full 64x64 -> 128-bit product, folded to 64 bits by xoring its
+/// halves: every input bit reaches the middle output bits in one multiply.
+#[inline]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let m = (a as u128) * (b as u128);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+/// The exact-match index's [`std::hash::Hasher`]: folds the key's bytes in
+/// 8 at a time, each through a 64x64 -> 128-bit multiply folded to 64
+/// bits, then avalanches with the splitmix64 finalizer, so hashbrown's
+/// 7-bit control tags (the top bits) are as well mixed as the bucket index
+/// (the low bits).
+///
+/// It is unkeyed: every process hashes a key to the same value. A keyed
+/// hash (`std`'s SipHash) defends a map whose keys an adversary chooses
+/// against collision flooding. The exact index's keys are written only by
+/// the control plane (entry inserts), which can already reprogram the
+/// device; a packet can only probe. A probe adds nothing to the map, so
+/// crafted traffic can at worst hit one existing collision chain, never
+/// build one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldHasher {
+    state: u64,
+}
+
+impl std::hash::Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let tail = rest.iter().fold(0u64, |acc, &b| (acc << 8) | b as u64);
+            self.write_u64(tail ^ ((rest.len() as u64) << 56));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.state = fold_mul(self.state ^ n, FOLD_K);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        finalize(self.state)
+    }
+}
+
+/// Builds [`FoldHasher`]s for a `HashMap`.
+pub type FoldBuildHasher = std::hash::BuildHasherDefault<FoldHasher>;
 
 /// Hashes a sequence of field values (as the data plane's hash unit does
 /// over the concatenated key fields), with full avalanche so any slice of
@@ -90,6 +153,40 @@ mod tests {
         // FNV-1a("") is the offset basis; FNV-1a("a") is a published vector.
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+    }
+
+    fn fold_hash(vals: &[u128]) -> u64 {
+        use std::hash::BuildHasher;
+        FoldBuildHasher::default().hash_one(vals)
+    }
+
+    #[test]
+    fn fold_hasher_is_fixed_and_order_sensitive() {
+        assert_eq!(fold_hash(&[7, 9, 42]), fold_hash(&[7, 9, 42]));
+        assert_ne!(fold_hash(&[1, 2]), fold_hash(&[2, 1]));
+        // The length prefix separates keys whose bytes concatenate alike.
+        assert_ne!(fold_hash(&[0]), fold_hash(&[0, 0]));
+        // A map keyed by `Vec<u128>` finds the entry by the borrowed slice.
+        let mut m: std::collections::HashMap<Vec<u128>, usize, FoldBuildHasher> =
+            Default::default();
+        m.insert(vec![0x0a00_0001, 80], 3);
+        assert_eq!(m.get(&[0x0a00_0001u128, 80][..]), Some(&3));
+    }
+
+    /// Sequential keys (host addresses, port numbers) must spread over both
+    /// the low bits hashbrown indexes with and the top 7 bits of its tags.
+    #[test]
+    fn fold_hasher_spreads_sequential_keys() {
+        let mut low = std::collections::HashSet::new();
+        let mut top = std::collections::HashSet::new();
+        // 4096 draws leave a given one of 256 bins empty with odds e^-16.
+        for i in 0..4096u128 {
+            let h = fold_hash(&[0x0a00_0000 | i]);
+            low.insert(h & 0xFF);
+            top.insert(h >> 57);
+        }
+        assert_eq!(low.len(), 256, "every low byte appears");
+        assert_eq!(top.len(), 128, "every 7-bit tag appears");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use ipsa_netpkt::packet::Packet;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::hash::hash_values;
+use crate::hash::{hash_values, FoldBuildHasher};
 use crate::lpm::LpmTrie;
 use crate::value::{EvalCtx, ValueRef};
 
@@ -263,8 +263,10 @@ pub struct Table {
     arg_stride: usize,
     /// Which index the table keeps; LPM tables hold their trie here.
     mode: IndexMode,
-    /// Exact tables: full key -> row.
-    exact_idx: HashMap<Vec<u128>, usize>,
+    /// Exact tables: full key -> row, hashed with the unkeyed
+    /// [`FoldHasher`](crate::hash::FoldHasher) (only the control plane
+    /// inserts keys; packets only probe).
+    exact_idx: HashMap<Vec<u128>, usize, FoldBuildHasher>,
     /// Ternary tables: rows sorted by (priority desc, row asc).
     tern_order: Vec<usize>,
     /// Selector tables: live rows in insertion order.
@@ -323,7 +325,7 @@ impl Table {
             hit_args: Vec::new(),
             arg_stride: 0,
             mode,
-            exact_idx: HashMap::new(),
+            exact_idx: HashMap::default(),
             tern_order: Vec::new(),
             members: Vec::new(),
             live: 0,

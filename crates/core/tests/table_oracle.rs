@@ -287,6 +287,81 @@ impl FibShape {
     }
 }
 
+/// An exact key's values for a value index: each field of `bits` holds
+/// the index's high group in its top byte and its low group at the bottom
+/// (so a single 32-bit field holds the index itself).
+fn exact_vals(bits: &[usize], v: u32) -> Vec<u128> {
+    let (hi, lo) = ((v >> 24) as u128, (v & 0xFF) as u128);
+    bits.iter().map(|&b| (hi << (b - 8)) | lo).collect()
+}
+
+/// Runs one exact-match churn stream over a key of `bits` against the
+/// full-scan oracle.
+fn check_exact(bits: &[usize], ops: &[Op]) -> Result<(), TestCaseError> {
+    let def = TableDef {
+        name: "nexthop".into(),
+        key: bits
+            .iter()
+            .enumerate()
+            .map(|(i, &bits)| KeyField {
+                source: ValueRef::Meta(format!("k{i}")),
+                bits,
+                kind: MatchKind::Exact,
+            })
+            .collect(),
+        size: 8,
+        actions: vec!["act".into()],
+        default_action: ActionCall::no_action(),
+        with_counters: false,
+    };
+    let mut t = Table::new(def).unwrap();
+    let mut o = Oracle {
+        entries: Vec::new(),
+        size: 8,
+    };
+    let mut probe = Vec::new();
+    let key = |v: u32| -> Vec<KeyMatch> {
+        exact_vals(bits, v)
+            .into_iter()
+            .map(KeyMatch::Exact)
+            .collect()
+    };
+    let exact = |v: u32, seq: u128| TableEntry {
+        key: key(v),
+        priority: 0,
+        action: ActionCall::new("act", vec![seq]),
+        counter: 0,
+    };
+    for (seq, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Insert { v, .. } => {
+                let r = t.insert(exact(v, seq as u128));
+                let e = o.insert(exact(v, seq as u128));
+                prop_assert_eq!(r.is_ok(), e.is_ok());
+            }
+            Op::Delete { v, .. } => {
+                let key = key(v);
+                prop_assert_eq!(t.delete(&key).is_ok(), o.delete(&key).is_ok());
+            }
+            Op::Lookup { v } => {
+                t.begin_lookup();
+                let a = t
+                    .match_prepared(Some(&exact_vals(bits, v)), &mut probe)
+                    .map(|h| h.row);
+                let got = a.map(|row| t.row(row).unwrap().action.args.clone());
+                let want = o
+                    .entries
+                    .iter()
+                    .find(|e| e.key == key(v))
+                    .map(|e| e.action.args.clone());
+                prop_assert_eq!(got, want, "key bits {:?}", bits);
+            }
+        }
+        prop_assert_eq!(t.len(), o.entries.len());
+    }
+    Ok(())
+}
+
 proptest! {
     /// The FIB's real key shape, `{ vrf: exact; dst: lpm; }`, under churn
     /// with twins: IPv4-shaped with the LPM field last and first, and a
@@ -379,54 +454,13 @@ proptest! {
 
     /// Exact-match under churn: everything is deterministic, so hits are
     /// compared by the stored action arguments, and the indexed probe must
-    /// agree with the oracle exactly.
+    /// agree with the oracle exactly. Run on a single 32-bit field, on
+    /// `dmac`'s `{16, 48}`-bit key and on `ipv6_host`'s `{16, 128}`-bit key,
+    /// so the index hashes multi-field keys and keys wider than 128 bits.
     #[test]
     fn exact_matches_oracle_under_churn(ops in proptest::collection::vec(op_strategy(), 1..150)) {
-        let def = TableDef {
-            name: "nexthop".into(),
-            key: vec![KeyField {
-                source: ValueRef::Meta("nh".into()),
-                bits: 32,
-                kind: MatchKind::Exact,
-            }],
-            size: 8,
-            actions: vec!["act".into()],
-            default_action: ActionCall::no_action(),
-            with_counters: false,
-        };
-        let mut t = Table::new(def).unwrap();
-        let mut o = Oracle { entries: Vec::new(), size: 8 };
-        let mut probe = Vec::new();
-        let exact = |v: u32, seq: u128| TableEntry {
-            key: vec![KeyMatch::Exact(v as u128)],
-            priority: 0,
-            action: ActionCall::new("act", vec![seq]),
-            counter: 0,
-        };
-        for (seq, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Insert { v, .. } => {
-                    let r = t.insert(exact(v, seq as u128));
-                    let e = o.insert(exact(v, seq as u128));
-                    prop_assert_eq!(r.is_ok(), e.is_ok());
-                }
-                Op::Delete { v, .. } => {
-                    let key = [KeyMatch::Exact(v as u128)];
-                    prop_assert_eq!(t.delete(&key).is_ok(), o.delete(&key).is_ok());
-                }
-                Op::Lookup { v } => {
-                    t.begin_lookup();
-                    let a = t.match_prepared(Some(&[v as u128]), &mut probe).map(|h| h.row);
-                    let got = a.map(|row| t.row(row).unwrap().action.args.clone());
-                    let want = o
-                        .entries
-                        .iter()
-                        .find(|e| e.key[0] == KeyMatch::Exact(v as u128))
-                        .map(|e| e.action.args.clone());
-                    prop_assert_eq!(got, want);
-                }
-            }
-            prop_assert_eq!(t.len(), o.entries.len());
+        for bits in [&[32][..], &[16, 48], &[16, 128]] {
+            check_exact(bits, &ops)?;
         }
     }
 

@@ -52,7 +52,7 @@ use ipsa_core::Interner;
 use ipsa_netpkt::bitfield::{get_bits, set_bits, truncate_to_width, width_mask};
 use ipsa_netpkt::intern::{meta_id, Sym};
 use ipsa_netpkt::linkage::HeaderLinkage;
-use ipsa_netpkt::packet::{Metadata, Packet, PacketError};
+use ipsa_netpkt::packet::{Metadata, Packet, PacketError, ParsedHeader};
 
 use crate::sm::StorageModule;
 use crate::tsp::{SlotStats, TspSlot};
@@ -174,10 +174,12 @@ impl FastVal {
             FastVal::Const(c) => Ok(Some(*c)),
             FastVal::Field { sym, bit_off, bits } => match pkt.find_sym(*sym) {
                 None => Ok(None),
-                Some(h) => Ok(Some(
-                    get_bits(&pkt.data[h.offset..h.offset + h.len], *bit_off, *bits)
-                        .map_err(PacketError::from)?,
-                )),
+                Some(h) => {
+                    let end = field_end(pkt.data.len(), h, *bit_off, *bits);
+                    let v = get_bits(&pkt.data[h.offset..end], *bit_off, *bits)
+                        .map_err(PacketError::from)?;
+                    Ok(Some(v))
+                }
             },
             FastVal::Meta(m) => Ok(Some(m.read(&pkt.meta))),
             FastVal::Param(i) => {
@@ -194,6 +196,22 @@ impl FastVal {
             FastVal::EntryCounter => Ok(Some(ctx.entry_counter.unwrap_or(0) as u128)),
             FastVal::Slow(v) => v.read(pkt, ctx),
         }
+    }
+}
+
+/// End of the bytes a field access of `bits` at `bit_off` in header `h`
+/// receives. A field inside the header gets the packet's bytes up to the
+/// packet's end, so [`get_bits`]/[`set_bits`] can load their fixed 8- or
+/// 16-byte window even for a field near the end of a short header (the
+/// 14-byte Ethernet header's); the access itself still touches only the
+/// field's bits. A span past the header keeps the header-bounded slice, so
+/// its `OutOfRange` error reports the header's length.
+#[inline]
+fn field_end(pkt_len: usize, h: &ParsedHeader, bit_off: usize, bits: usize) -> usize {
+    if bit_off + bits <= h.len * 8 {
+        pkt_len
+    } else {
+        h.offset + h.len
     }
 }
 
@@ -299,13 +317,9 @@ impl FastLVal {
                 let h = *pkt
                     .find_sym(*sym)
                     .ok_or_else(|| PacketError::HeaderNotPresent(sym.as_str().to_string()))?;
-                set_bits(
-                    &mut pkt.data[h.offset..h.offset + h.len],
-                    *bit_off,
-                    *bits,
-                    value,
-                )
-                .map_err(PacketError::from)?;
+                let end = field_end(pkt.data.len(), &h, *bit_off, *bits);
+                set_bits(&mut pkt.data[h.offset..end], *bit_off, *bits, value)
+                    .map_err(PacketError::from)?;
                 Ok(())
             }
             FastLVal::Slow { lv, .. } => lv.write(pkt, ctx, value),

@@ -8,6 +8,17 @@
 //!
 //! Values are carried as `u128`, wide enough for the largest field we need
 //! (an IPv6 address, 128 bits).
+//!
+//! Every executor reads and writes header fields through [`get_bits`] and
+//! [`set_bits`], so they are the per-packet field kernel. A field whose
+//! span (its offset within the first byte plus its width) fits 64 bits is
+//! read with one big-endian load of the fixed 8-byte window that starts at
+//! its first byte, then a shift and a mask; a span up to 128 bits uses a
+//! 16-byte window the same way. A write is the same load, a masked merge
+//! and one store. Only when the window would run past the buffer's end
+//! (a field in the last bytes of a packet, or an unaligned field wider
+//! than 120 bits) does the access fall back to the tail path, a loop that
+//! moves one byte's share of the field per step.
 
 /// Maximum supported field width in bits.
 pub const MAX_FIELD_BITS: usize = 128;
@@ -77,6 +88,25 @@ fn check(data: &[u8], bit_off: usize, bit_len: usize) -> Result<(), BitfieldErro
 /// integer.
 pub fn get_bits(data: &[u8], bit_off: usize, bit_len: usize) -> Result<u128, BitfieldError> {
     check(data, bit_off, bit_len)?;
+    let i = bit_off / 8;
+    let s = bit_off % 8;
+    if s + bit_len <= 64 {
+        if let Some(w) = data.get(i..i + 8) {
+            let w = u64::from_be_bytes(w.try_into().expect("8-byte window"));
+            return Ok(((w << s) >> (64 - bit_len)) as u128);
+        }
+    } else if s + bit_len <= 128 {
+        if let Some(w) = data.get(i..i + 16) {
+            let w = u128::from_be_bytes(w.try_into().expect("16-byte window"));
+            return Ok((w << s) >> (128 - bit_len));
+        }
+    }
+    Ok(get_bits_tail(data, bit_off, bit_len))
+}
+
+/// The tail path of [`get_bits`]: a span whose window would overrun the
+/// buffer, read one byte's share at a time. The span is already checked.
+fn get_bits_tail(data: &[u8], bit_off: usize, bit_len: usize) -> u128 {
     let mut acc: u128 = 0;
     let mut bit = bit_off;
     let end = bit_off + bit_len;
@@ -91,7 +121,7 @@ pub fn get_bits(data: &[u8], bit_off: usize, bit_len: usize) -> Result<u128, Bit
         acc = (acc << take) | chunk as u128;
         bit += take;
     }
-    Ok(acc)
+    acc
 }
 
 /// Writes the low `bit_len` bits of `value` at `bit_off` (MSB-first).
@@ -107,6 +137,35 @@ pub fn set_bits(
     if bit_len < 128 && value >> bit_len != 0 {
         return Err(BitfieldError::ValueTooWide { value, bit_len });
     }
+    let i = bit_off / 8;
+    let span = bit_off % 8 + bit_len;
+    if span <= 64 {
+        if let Some(w) = data.get_mut(i..i + 8) {
+            let w: &mut [u8; 8] = w.try_into().expect("8-byte window");
+            let shift = 64 - span;
+            let mask = (u64::MAX >> (64 - bit_len)) << shift;
+            let old = u64::from_be_bytes(*w);
+            *w = ((old & !mask) | ((value as u64) << shift)).to_be_bytes();
+            return Ok(());
+        }
+    } else if span <= 128 {
+        if let Some(w) = data.get_mut(i..i + 16) {
+            let w: &mut [u8; 16] = w.try_into().expect("16-byte window");
+            let shift = 128 - span;
+            let mask = (u128::MAX >> (128 - bit_len)) << shift;
+            let old = u128::from_be_bytes(*w);
+            *w = ((old & !mask) | (value << shift)).to_be_bytes();
+            return Ok(());
+        }
+    }
+    set_bits_tail(data, bit_off, bit_len, value);
+    Ok(())
+}
+
+/// The tail path of [`set_bits`]: a span whose window would overrun the
+/// buffer, written one byte's share at a time. The span and the value's
+/// width are already checked.
+fn set_bits_tail(data: &mut [u8], bit_off: usize, bit_len: usize, value: u128) {
     let mut bit = bit_off;
     let end = bit_off + bit_len;
     let mut remaining = bit_len;
@@ -121,7 +180,6 @@ pub fn set_bits(
         bit += take;
         remaining -= take;
     }
-    Ok(())
 }
 
 /// Truncates `value` to `bit_len` bits (wrapping semantics used by the

@@ -35,6 +35,52 @@ mod proptests {
     use crate::linkage::HeaderLinkage;
     use proptest::prelude::*;
 
+    /// Bit-at-a-time field access with its own bounds and width checks:
+    /// the reference the bitfield kernel is held to.
+    mod reference {
+        use crate::bitfield::{BitfieldError, MAX_FIELD_BITS};
+
+        fn check(data: &[u8], bit_off: usize, bit_len: usize) -> Result<(), BitfieldError> {
+            if bit_len == 0 || bit_len > MAX_FIELD_BITS {
+                Err(BitfieldError::BadWidth(bit_len))
+            } else if bit_off + bit_len > data.len() * 8 {
+                Err(BitfieldError::OutOfRange {
+                    bit_off,
+                    bit_len,
+                    buf_len: data.len(),
+                })
+            } else {
+                Ok(())
+            }
+        }
+
+        pub fn get(data: &[u8], bit_off: usize, bit_len: usize) -> Result<u128, BitfieldError> {
+            check(data, bit_off, bit_len)?;
+            Ok((bit_off..bit_off + bit_len).fold(0, |acc, b| {
+                (acc << 1) | ((data[b / 8] >> (7 - b % 8)) & 1) as u128
+            }))
+        }
+
+        pub fn set(
+            data: &mut [u8],
+            bit_off: usize,
+            bit_len: usize,
+            value: u128,
+        ) -> Result<(), BitfieldError> {
+            check(data, bit_off, bit_len)?;
+            if bit_len < 128 && value >> bit_len != 0 {
+                return Err(BitfieldError::ValueTooWide { value, bit_len });
+            }
+            for i in 0..bit_len {
+                let b = bit_off + i;
+                let bit = ((value >> (bit_len - 1 - i)) & 1) as u8;
+                let mask = 0x80 >> (b % 8);
+                data[b / 8] = (data[b / 8] & !mask) | (bit * mask);
+            }
+            Ok(())
+        }
+    }
+
     proptest! {
         /// set_bits/get_bits roundtrip for arbitrary in-range spans.
         #[test]
@@ -70,6 +116,44 @@ mod proptests {
                     );
                 }
             }
+        }
+
+        /// `get_bits`/`set_bits` agree with a one-bit-at-a-time reference,
+        /// errors included, on buffers of 1-40 bytes. Half the spans end at
+        /// the buffer's end or up to 2 bits past it, so the window loads,
+        /// the per-byte tail path and every `OutOfRange` boundary all run;
+        /// widths 0 and 129-130 and values wider than the field run too.
+        #[test]
+        fn bitfield_matches_bit_reference(
+            buf in proptest::collection::vec(any::<u8>(), 1..=40),
+            bit_len in 0usize..=130,
+            at_end in any::<bool>(),
+            overrun in 0usize..3,
+            off in 0usize..336,
+            value in any::<u128>(),
+            too_wide in any::<bool>(),
+        ) {
+            let nbits = buf.len() * 8;
+            let bit_off = if at_end {
+                (nbits + overrun).saturating_sub(bit_len)
+            } else {
+                off % (nbits + 16)
+            };
+            let value = if too_wide {
+                value
+            } else {
+                crate::bitfield::truncate_to_width(value, bit_len.max(1))
+            };
+            prop_assert_eq!(
+                get_bits(&buf, bit_off, bit_len),
+                reference::get(&buf, bit_off, bit_len)
+            );
+            let (mut got, mut want) = (buf.clone(), buf);
+            prop_assert_eq!(
+                set_bits(&mut got, bit_off, bit_len, value),
+                reference::set(&mut want, bit_off, bit_len, value)
+            );
+            prop_assert_eq!(got, want);
         }
 
         /// Incremental checksum update equals full recomputation for any
